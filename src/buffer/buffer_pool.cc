@@ -10,6 +10,56 @@
 
 namespace lob {
 
+// ----------------------------------------------------------------- SpanList
+
+void SpanList::Append(const char* data, uint64_t n) {
+  if (n == 0) return;
+  bytes_ += n;
+  if (!spans_.empty()) {
+    ByteSpan& last = spans_.back();
+    const bool continues = data == nullptr
+                               ? last.data == nullptr
+                               : last.data != nullptr &&
+                                     last.data + last.size == data;
+    if (continues) {
+      last.size += n;
+      return;
+    }
+  }
+  spans_.push_back(ByteSpan{data, n});
+}
+
+void SpanList::AppendCopy(const char* data, uint64_t n) {
+  if (n == 0) return;
+  // Unaligned staging keeps consecutive copies contiguous, so they merge.
+  char* stage = staged_.Allocate(n, /*align=*/1);
+  std::memcpy(stage, data, n);
+  Append(stage, n);
+}
+
+void SpanList::Clear() {
+  spans_.clear();
+  staged_.Reset();
+  bytes_ = 0;
+}
+
+void SpanCursor::Take(uint64_t n, SpanList* out) {
+  while (n > 0) {
+    LOB_CHECK_LT(span_, list_.count());
+    const ByteSpan& span = list_.spans()[span_];
+    const uint64_t take = std::min(span.size - used_, n);
+    if (out != nullptr) {
+      out->Append(span.data == nullptr ? nullptr : span.data + used_, take);
+    }
+    used_ += take;
+    n -= take;
+    if (used_ == span.size) {
+      ++span_;
+      used_ = 0;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- PageGuard
 
 PageGuard::PageGuard(BufferPool* pool, uint32_t slot)
@@ -215,16 +265,62 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
                                     uint64_t seg_valid_bytes,
                                     uint64_t byte_off, uint64_t n_bytes,
                                     char* dst) {
+  WriterMutexLock lock(&mu_);
+  char* out = dst;
+  LOB_RETURN_IF_ERROR(ReadRangeLocked(
+      area, seg_first, seg_valid_bytes, byte_off, n_bytes,
+      [&out](const char* data, uint64_t n, bool /*borrowed*/) {
+        if (data == nullptr) {
+          std::memset(out, 0, n);
+        } else {
+          std::memcpy(out, data, n);
+        }
+        out += n;
+      }));
+  LOB_CHECK_EQ(static_cast<uint64_t>(out - dst), n_bytes);
+  return Status::OK();
+}
+
+Status BufferPool::ViewSegmentRange(AreaId area, PageId seg_first,
+                                    uint64_t seg_valid_bytes,
+                                    uint64_t byte_off, uint64_t n_bytes,
+                                    SpanList* out) {
+  WriterMutexLock lock(&mu_);
+  const uint64_t before = out->bytes();
+  LOB_RETURN_IF_ERROR(ReadRangeLocked(
+      area, seg_first, seg_valid_bytes, byte_off, n_bytes,
+      [out](const char* data, uint64_t n, bool borrowed) {
+        if (borrowed) {
+          out->Append(data, n);
+        } else {
+          out->AppendCopy(data, n);
+        }
+      }));
+  LOB_CHECK_EQ(out->bytes() - before, n_bytes);
+  return Status::OK();
+}
+
+template <typename Sink>
+Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
+                                   uint64_t seg_valid_bytes,
+                                   uint64_t byte_off, uint64_t n_bytes,
+                                   const Sink& sink) {
   if (n_bytes == 0) return Status::OK();
   if (byte_off + n_bytes > seg_valid_bytes) {
     return Status::OutOfRange("read past segment valid bytes");
   }
-  WriterMutexLock lock(&mu_);
   const uint64_t P = config_.page_size;
   const PageId p0 = seg_first + static_cast<PageId>(byte_off / P);
   const PageId p1 =
       seg_first + static_cast<PageId>((byte_off + n_bytes - 1) / P);
   const uint32_t np = p1 - p0 + 1;
+  // Hands the part of page p inside the requested range to the sink.
+  auto emit_part = [&](PageId p, const char* page_data) {
+    const uint64_t page_begin = static_cast<uint64_t>(p - seg_first) * P;
+    const uint64_t lo = std::max(byte_off, page_begin);
+    const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
+    sink(page_data + (lo - page_begin), hi - lo, false);
+  };
 
   if (np <= config_.max_pool_segment_pages) {
     // Buffered path: make sure the run is cached. If any page misses, the
@@ -286,72 +382,46 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
       }
       if (!loaded.ok()) {
         // Degenerate fallback: everything else is pinned; fetch page by
-        // page (one seek each), copying while the pin is held since a
-        // later fetch may evict an earlier page again.
-        uint64_t copied = 0;
+        // page (one seek each), handing each page over while its pin is
+        // held since a later fetch may evict an earlier page again.
         for (PageId p = p0; p <= p1; ++p) {
           auto s_or = FixSlotLocked(area, p, FixMode::kRead);
           if (!s_or.ok()) return s_or.status();
-          const uint64_t page_begin =
-              static_cast<uint64_t>(p - seg_first) * P;
-          const uint64_t lo = std::max(byte_off, page_begin);
-          const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
-          std::memcpy(dst + (lo - byte_off),
-                      FrameDataLocked(*s_or) + (lo - page_begin), hi - lo);
-          copied += hi - lo;
+          emit_part(p, FrameDataLocked(*s_or));
           UnpinLocked(*s_or);
         }
-        LOB_CHECK_EQ(copied, n_bytes);
         return Status::OK();
       }
     }
-    // Copy the requested bytes out of the frames.
-    uint64_t copied = 0;
+    // Hand the requested bytes over from the frames.
     for (PageId p = p0; p <= p1; ++p) {
       int s = FindSlot(area, p);
       LOB_CHECK_GE(s, 0);
       frames_[static_cast<uint32_t>(s)].lru = ++tick_;
-      const uint64_t page_begin = static_cast<uint64_t>(p - seg_first) * P;
-      const uint64_t lo = std::max(byte_off, page_begin);
-      const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
-      std::memcpy(dst + (lo - byte_off),
-                  FrameDataLocked(static_cast<uint32_t>(s)) +
-                      (lo - page_begin),
-                  hi - lo);
-      copied += hi - lo;
+      emit_part(p, FrameDataLocked(static_cast<uint32_t>(s)));
     }
-    LOB_CHECK_EQ(copied, n_bytes);
     return Status::OK();
   }
 
-  // Unbuffered path with 3-step boundary handling (paper Figure 4).
-  uint64_t remaining = n_bytes;
-  char* out = dst;
+  // Unbuffered path with 3-step boundary handling (paper Figure 4): the
+  // partial first and last blocks travel through the pool, the full
+  // middle blocks are borrowed straight from the disk images.
   PageId mid_first = p0;
-  PageId mid_last = p1;
+  uint32_t mid_count = np;
   if (byte_off % P != 0) {
-    // Partial first block travels through the pool.
     auto s_or = FixSlotLocked(area, p0, FixMode::kRead);
     if (!s_or.ok()) return s_or.status();
-    const uint64_t in_page = byte_off % P;
-    const uint64_t take = std::min(P - in_page, remaining);
-    std::memcpy(out, FrameDataLocked(*s_or) + in_page, take);
+    emit_part(p0, FrameDataLocked(*s_or));
     UnpinLocked(*s_or);
-    out += take;
-    remaining -= take;
-    mid_first = p0 + 1;
+    ++mid_first;
+    --mid_count;
   }
-  const bool tail_partial = (byte_off + n_bytes) % P != 0 && remaining > 0;
-  uint64_t tail_take = 0;
-  if (tail_partial) {
-    tail_take = (byte_off + n_bytes) % P;
-    mid_last = p1 - 1;
-  }
-  if (mid_first <= mid_last && remaining > tail_take) {
-    const uint32_t count = mid_last - mid_first + 1;
+  const bool tail_partial = mid_count > 0 && (byte_off + n_bytes) % P != 0;
+  if (tail_partial) --mid_count;
+  if (mid_count > 0) {
     // Keep direct I/O coherent with the pool: write back any dirty cached
     // copies first (clean cached copies already match the disk image).
-    for (uint32_t i = 0; i < count; ++i) {
+    for (uint32_t i = 0; i < mid_count; ++i) {
       int s = FindSlot(area, mid_first + i);
       if (s >= 0 && frames_[static_cast<uint32_t>(s)].dirty) {
         Frame& f = frames_[static_cast<uint32_t>(s)];
@@ -360,20 +430,18 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
         f.dirty = false;
       }
     }
+    ScratchMark sm(&scratch_);
+    PageRef* refs = scratch_.AllocArray<PageRef>(mid_count);
     {
       LOB_TRACE_SPAN(disk_, "pool.read_run");
-      LOB_RETURN_IF_ERROR(disk_->Read(area, mid_first, count, out));
+      LOB_RETURN_IF_ERROR(disk_->ReadRun(area, mid_first, mid_count, refs));
     }
-    const uint64_t moved = static_cast<uint64_t>(count) * P;
-    out += moved;
-    remaining -= moved;
+    for (uint32_t i = 0; i < mid_count; ++i) sink(refs[i].data, P, true);
   }
-  if (remaining > 0) {
-    // Partial last block through the pool.
-    LOB_CHECK_EQ(remaining, tail_take);
+  if (tail_partial) {
     auto s_or = FixSlotLocked(area, p1, FixMode::kRead);
     if (!s_or.ok()) return s_or.status();
-    std::memcpy(out, FrameDataLocked(*s_or), remaining);
+    emit_part(p1, FrameDataLocked(*s_or));
     UnpinLocked(*s_or);
   }
   return Status::OK();
@@ -468,30 +536,18 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
 }
 
 Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
-                                     const char* data, uint64_t n_bytes) {
+                                     const ByteSpan* spans, size_t n_spans) {
+  uint64_t n_bytes = 0;
+  for (size_t i = 0; i < n_spans; ++i) n_bytes += spans[i].size;
   if (n_bytes == 0) return Status::OK();
   WriterMutexLock lock(&mu_);
   const uint64_t P = config_.page_size;
   const uint32_t np = static_cast<uint32_t>((n_bytes + P - 1) / P);
-  // Full pages gather straight from the caller's buffer; only a partial
-  // last page is staged (zero-padded) in the arena.
   ScratchMark sm(&scratch_);
-  const char** srcs = scratch_.AllocArray<const char*>(np);
-  const uint32_t full_pages = static_cast<uint32_t>(n_bytes / P);
-  for (uint32_t i = 0; i < full_pages; ++i) {
-    srcs[i] = data + static_cast<size_t>(i) * P;
-  }
-  if (full_pages < np) {
-    char* stage = scratch_.Allocate(P);
-    const uint64_t tail = n_bytes - static_cast<uint64_t>(full_pages) * P;
-    std::memcpy(stage, data + static_cast<size_t>(full_pages) * P, tail);
-    std::memset(stage + tail, 0, P - tail);
-    srcs[full_pages] = stage;
-  }
   MutPageRef* imgs = scratch_.AllocArray<MutPageRef>(np);
   {
     LOB_TRACE_SPAN(disk_, "pool.write_fresh");
-    LOB_RETURN_IF_ERROR(disk_->WriteRun(area, first, np, srcs, imgs));
+    LOB_RETURN_IF_ERROR(disk_->WriteSpans(area, first, spans, n_spans, imgs));
   }
   for (uint32_t i = 0; i < np; ++i) {
     int s = FindSlot(area, first + i);

@@ -8,7 +8,8 @@
 // Larger segments bypass the pool: byte ranges that do not match block
 // boundaries use the 3-step I/O of Figure 4 — the partial first and last
 // blocks travel through the pool, the full middle blocks move directly
-// between disk and the caller's buffer.
+// between disk and the caller (copied out by ReadSegmentRange, lent as
+// borrowed page views by ViewSegmentRange).
 //
 // Writes mirror reads: small runs are written into frames, marked dirty and
 // flushed by the caller at operation end (one sequential I/O call per
@@ -44,6 +45,52 @@ namespace lob {
 
 class BufferPool;
 class ObsRegistry;
+
+/// A byte stream assembled from pieces: borrowed disk-page views, caller
+/// bytes, and bytes staged into the list's own storage. It is what
+/// ViewSegmentRange produces and what WriteFreshSegment's span form
+/// consumes, so a shifted tail moves from old pages to fresh pages with
+/// one host copy. Appending a piece that continues the previous one in
+/// memory (or zeros after zeros) extends it instead of adding a span.
+class SpanList {
+ public:
+  /// Appends `n` bytes at `data` (null = zeros) by reference: they must
+  /// stay valid and unchanged while the list is in use.
+  void Append(const char* data, uint64_t n);
+
+  /// Appends a copy of `n` bytes at `data`, held by the list.
+  void AppendCopy(const char* data, uint64_t n);
+
+  const ByteSpan* spans() const { return spans_.data(); }
+  size_t count() const { return spans_.size(); }
+  uint64_t bytes() const { return bytes_; }
+
+  /// Empties the list (staged storage is kept for reuse).
+  void Clear();
+
+ private:
+  std::vector<ByteSpan> spans_;
+  ScratchArena staged_{4096};
+  uint64_t bytes_ = 0;
+};
+
+/// Sequential reader over a SpanList: hands out consecutive byte ranges
+/// of it as spans that reference the source list's pieces.
+class SpanCursor {
+ public:
+  explicit SpanCursor(const SpanList& list) : list_(list) {}
+
+  /// Appends the next `n` bytes of the source to `out` by reference.
+  void Take(uint64_t n, SpanList* out);
+
+  /// Moves past the next `n` bytes.
+  void Skip(uint64_t n) { Take(n, nullptr); }
+
+ private:
+  const SpanList& list_;
+  size_t span_ = 0;   ///< current span of the source
+  uint64_t used_ = 0; ///< bytes of it already taken
+};
 
 /// RAII pin on one page frame. Movable, not copyable; unpins on destruction.
 class PageGuard {
@@ -120,6 +167,16 @@ class BufferPool {
                           uint64_t seg_valid_bytes, uint64_t byte_off,
                           uint64_t n_bytes, char* dst) LOB_EXCLUDES(mu_);
 
+  /// View form of ReadSegmentRange: the same I/O calls and pool effects,
+  /// but the bytes are appended to `out` as spans. Whole pages the
+  /// unbuffered path reads come back as borrowed views of the disk images
+  /// (valid until those pages are next written); bytes that pass through
+  /// pool frames — partial boundary pages and buffered runs — are staged
+  /// into `out`, because a frame can be evicted before the view is used.
+  [[nodiscard]] Status ViewSegmentRange(AreaId area, PageId seg_first,
+                          uint64_t seg_valid_bytes, uint64_t byte_off,
+                          uint64_t n_bytes, SpanList* out) LOB_EXCLUDES(mu_);
+
   /// Writes `n_bytes` at `byte_off` into the segment starting at
   /// `seg_first`. Boundary pages that intersect `seg_valid_bytes` and are
   /// only partially overwritten are read-modified-written; pages entirely
@@ -131,14 +188,23 @@ class BufferPool {
                            uint64_t n_bytes, const char* src)
       LOB_EXCLUDES(mu_);
 
-  /// Writes `n_bytes` into a freshly allocated segment starting at `first`
-  /// with a single I/O call, bypassing the pool (zero-padding the last
-  /// page). Cached copies of the covered pages are refreshed. Use for
-  /// shadow copies and newly created segments: "copy, update, flush" with
-  /// one sequential write (paper 3.3/3.4).
+  /// Writes the byte stream `spans` into a freshly allocated segment
+  /// starting at `first` with a single I/O call (SimDisk::WriteSpans),
+  /// bypassing the pool and zero-padding the last page. Cached copies of
+  /// the covered pages are refreshed. Use for shadow copies and newly
+  /// created segments: "copy, update, flush" with one sequential write
+  /// (paper 3.3/3.4).
+  [[nodiscard]]
+  Status WriteFreshSegment(AreaId area, PageId first, const ByteSpan* spans,
+                           size_t n_spans) LOB_EXCLUDES(mu_);
+
+  /// One-span case: writes `n_bytes` at `data`.
   [[nodiscard]]
   Status WriteFreshSegment(AreaId area, PageId first, const char* data,
-                           uint64_t n_bytes) LOB_EXCLUDES(mu_);
+                           uint64_t n_bytes) LOB_EXCLUDES(mu_) {
+    const ByteSpan span{data, n_bytes};
+    return WriteFreshSegment(area, first, &span, 1);
+  }
 
   /// Writes back every dirty cached page in [first, first+n_pages) using one
   /// I/O call per maximal contiguous dirty run; pages stay cached clean.
@@ -267,6 +333,18 @@ class BufferPool {
   [[nodiscard]]
   Status FlushRunLocked(AreaId area, PageId first, uint32_t n_pages)
       LOB_REQUIRES(mu_);
+
+  /// The hybrid read policy behind ReadSegmentRange and ViewSegmentRange:
+  /// validates and issues the I/O for bytes [byte_off, byte_off + n_bytes)
+  /// of the segment at `seg_first` and hands the bytes, in order, to
+  /// `sink(data, n, borrowed)`. A `borrowed` piece is a whole disk-page
+  /// image (null = zeros) that stays valid after the call; any other
+  /// piece points into a pool frame and is valid only inside the sink.
+  template <typename Sink>
+  [[nodiscard]] Status ReadRangeLocked(AreaId area, PageId seg_first,
+                                       uint64_t seg_valid_bytes,
+                                       uint64_t byte_off, uint64_t n_bytes,
+                                       const Sink& sink) LOB_REQUIRES(mu_);
 
   void UnpinLocked(uint32_t slot) LOB_REQUIRES(mu_);
   void Unpin(uint32_t slot) LOB_EXCLUDES(mu_);

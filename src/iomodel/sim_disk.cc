@@ -139,18 +139,6 @@ uint32_t SimDisk::armed_faults() const {
   return n;
 }
 
-void SimDisk::InjectFailureAfter(int64_t calls) {
-  faults_.erase(std::remove_if(faults_.begin(), faults_.end(),
-                               [](const ArmedFault& f) { return f.legacy; }),
-                faults_.end());
-  if (calls < 0) return;
-  ArmedFault armed;
-  armed.spec.kind = FaultKind::kSticky;
-  armed.spec.after_calls = static_cast<uint64_t>(calls);
-  armed.legacy = true;
-  faults_.push_back(std::move(armed));
-}
-
 Status SimDisk::CheckFaults(bool is_read, AreaId area, PageId first,
                             uint32_t n_pages) {
   // Unmetered sections (audit walks, fsck, timeline sampling) are outside
@@ -237,6 +225,36 @@ char* SimDisk::PageData(Area& area, PageId page, bool create) {
   return slot.get();
 }
 
+template <typename SpanAt>
+void SimDisk::GatherCopy(AreaId area, PageId first, uint32_t n_pages,
+                         size_t n_spans, const SpanAt& span_at,
+                         MutPageRef* imgs) {
+  const uint64_t P = config_.page_size;
+  Area& a = areas_[area];
+  size_t s = 0;  // index of the current span
+  ByteSpan span = n_spans > 0 ? span_at(0) : ByteSpan{};  // its unread rest
+  for (uint32_t i = 0; i < n_pages; ++i) {
+    char* dst = PageData(a, first + i, /*create=*/true);
+    uint64_t filled = 0;
+    while (filled < P && s < n_spans) {
+      const uint64_t take = std::min(span.size, P - filled);
+      if (span.data == nullptr) {
+        std::memset(dst + filled, 0, take);
+      } else {
+        if (span.data != dst + filled) {
+          std::memcpy(dst + filled, span.data, take);
+        }
+        span.data += take;
+      }
+      filled += take;
+      span.size -= take;
+      if (span.size == 0 && ++s < n_spans) span = span_at(s);
+    }
+    if (filled < P) std::memset(dst + filled, 0, P - filled);
+    if (imgs != nullptr) imgs[i].data = dst;
+  }
+}
+
 Status SimDisk::Read(AreaId area, PageId first, uint32_t n_pages, void* dst) {
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
@@ -259,13 +277,9 @@ Status SimDisk::Write(AreaId area, PageId first, uint32_t n_pages,
                       const void* src) {
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
-  const char* in = static_cast<const char*>(src);
-  Area& a = areas_[area];
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    char* dst = PageData(a, first + i, /*create=*/true);
-    std::memcpy(dst, in, config_.page_size);
-    in += config_.page_size;
-  }
+  const ByteSpan all{static_cast<const char*>(src),
+                     uint64_t{n_pages} * config_.page_size};
+  GatherCopy(area, first, n_pages, 1, [&](size_t) { return all; }, nullptr);
   AccountCall(/*is_read=*/false, n_pages);
   return Status::OK();
 }
@@ -286,16 +300,27 @@ Status SimDisk::WriteRun(AreaId area, PageId first, uint32_t n_pages,
                          const char* const* srcs, MutPageRef* imgs) {
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
-  Area& a = areas_[area];
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    char* dst = PageData(a, first + i, /*create=*/true);
-    if (srcs[i] == nullptr) {
-      std::memset(dst, 0, config_.page_size);
-    } else if (srcs[i] != dst) {  // a borrowed self-view needs no copy
-      std::memcpy(dst, srcs[i], config_.page_size);
-    }
-    if (imgs != nullptr) imgs[i].data = dst;
+  GatherCopy(
+      area, first, n_pages, n_pages,
+      [&](size_t i) { return ByteSpan{srcs[i], config_.page_size}; }, imgs);
+  AccountCall(/*is_read=*/false, n_pages);
+  return Status::OK();
+}
+
+Status SimDisk::WriteSpans(AreaId area, PageId first, const ByteSpan* spans,
+                           size_t n_spans, MutPageRef* imgs) {
+  uint64_t total = 0;
+  for (size_t i = 0; i < n_spans; ++i) total += spans[i].size;
+  const uint64_t pages = (total + config_.page_size - 1) / config_.page_size;
+  if (pages > kInvalidPage) {
+    return Status::InvalidArgument("page range overflow");
   }
+  const auto n_pages = static_cast<uint32_t>(pages);
+  LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
+  LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
+  GatherCopy(
+      area, first, n_pages, n_spans, [&](size_t i) { return spans[i]; },
+      imgs);
   AccountCall(/*is_read=*/false, n_pages);
   return Status::OK();
 }

@@ -57,6 +57,15 @@ struct MutPageRef {
   char* data = nullptr;
 };
 
+/// One piece of a byte-gather write (WriteSpans): `size` bytes read from
+/// `data`, or `size` zero bytes when `data` is null — the same convention
+/// as a PageRef of a never-written page, so borrowed views pass straight
+/// through.
+struct ByteSpan {
+  const char* data = nullptr;
+  uint64_t size = 0;
+};
+
 /// In-memory simulated disk with per-call cost accounting.
 class SimDisk {
  public:
@@ -98,6 +107,18 @@ class SimDisk {
   [[nodiscard]]
   Status WriteRun(AreaId area, PageId first, uint32_t n_pages,
                   const char* const* srcs, MutPageRef* imgs = nullptr);
+
+  /// Byte-gather write: the concatenation of `spans` fills the
+  /// ceil(total / page_size) physically adjacent pages starting at
+  /// `first`, the last page zero-padded. Spans need not be page-aligned
+  /// or page-sized, so a byte-shifted stream lands in fresh pages with no
+  /// staging copy. When `imgs` is non-null it receives borrowed views of
+  /// the written images (one per page). Metered and fault-checked exactly
+  /// like Write of the same range; an empty stream is an InvalidArgument
+  /// zero-page call.
+  [[nodiscard]]
+  Status WriteSpans(AreaId area, PageId first, const ByteSpan* spans,
+                    size_t n_spans, MutPageRef* imgs = nullptr);
 
   /// Accumulated I/O counters since construction or the last ResetStats().
   const IoStats& stats() const { return stats_; }
@@ -194,7 +215,7 @@ class SimDisk {
   /// armed.
   void ArmPlan(const FaultPlan& plan);
 
-  /// Disarms all faults, including any armed via InjectFailureAfter.
+  /// Disarms all faults.
   void ClearFaults() { faults_.clear(); }
 
   /// Number of armed faults that have not yet exhausted (a sticky fault
@@ -216,14 +237,6 @@ class SimDisk {
   /// metrics snapshot exports it so fault-campaign cells show their
   /// injected-failure count alongside the cost numbers.
   uint64_t faults_fired() const { return faults_fired_; }
-
-  /// Legacy single-knob injection (tests): after `calls` further
-  /// attributed foreground I/O calls, every such call fails with
-  /// Internal until cleared with a negative value. Implemented as a
-  /// sticky FaultSpec; a negative `calls` removes only faults armed
-  /// through this entry point (faults armed via ArmFault/ArmPlan stay).
-  /// See the countdown contract above for exactly which calls count.
-  void InjectFailureAfter(int64_t calls);
 
   // ---- Per-operation attribution (see obs/obs_registry.h) ----
 
@@ -286,12 +299,20 @@ class SimDisk {
     uint64_t matched_calls = 0;  ///< matching calls that succeeded so far
     uint32_t fired = 0;          ///< matching calls this fault failed
     bool exhausted = false;
-    bool legacy = false;  ///< armed via InjectFailureAfter
   };
 
   [[nodiscard]]
   Status CheckRange(AreaId area, PageId first, uint32_t n_pages) const;
   char* PageData(Area& area, PageId page, bool create);
+
+  /// The one gather-copy loop behind Write, WriteRun and WriteSpans: fills
+  /// pages [first, first + n_pages) of `area` with the byte stream
+  /// span_at(0) .. span_at(n_spans - 1), zero-filling past its end. A
+  /// piece that already sits at its destination (a borrowed self-view) is
+  /// not copied. Runs after the call passed its range and fault checks.
+  template <typename SpanAt>
+  void GatherCopy(AreaId area, PageId first, uint32_t n_pages,
+                  size_t n_spans, const SpanAt& span_at, MutPageRef* imgs);
 
   /// Fault gate for one metered call. Returns a non-OK Status when an
   /// armed fault fires; otherwise advances the countdowns of all

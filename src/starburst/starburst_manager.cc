@@ -117,8 +117,8 @@ std::vector<StarburstManager::SegInfo> StarburstManager::MapSegments(
   return map;
 }
 
-Status StarburstManager::ReadRange(const std::vector<SegInfo>& map,
-                                   uint64_t off, uint64_t n, char* dst) {
+Status StarburstManager::ViewRange(const std::vector<SegInfo>& map,
+                                   uint64_t off, uint64_t n, SpanList* out) {
   uint64_t done = 0;
   for (const SegInfo& seg : map) {
     if (done == n) break;
@@ -131,14 +131,31 @@ Status StarburstManager::ReadRange(const std::vector<SegInfo>& map,
     while (part < take) {
       const uint64_t chunk =
           std::min<uint64_t>(take - part, sys_->config().copy_buffer_bytes);
-      LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
-          leaf_area_id(), seg.page, seg.bytes, local + part, chunk,
-          dst + done + part));
+      LOB_RETURN_IF_ERROR(sys_->pool()->ViewSegmentRange(
+          leaf_area_id(), seg.page, seg.bytes, local + part, chunk, out));
       part += chunk;
     }
     done += take;
   }
   if (done != n) return Status::OutOfRange("read past long field end");
+  return Status::OK();
+}
+
+Status StarburstManager::WriteFreshChunks(PageId first, uint64_t n,
+                                          SpanCursor* src) {
+  const uint64_t P = page_size();
+  SpanList chunk;
+  uint64_t part = 0;
+  while (part < n) {
+    const uint64_t len =
+        std::min<uint64_t>(n - part, sys_->config().copy_buffer_bytes);
+    chunk.Clear();
+    src->Take(len, &chunk);
+    LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
+        leaf_area_id(), first + static_cast<PageId>(part / P), chunk.spans(),
+        chunk.count()));
+    part += len;
+  }
   return Status::OK();
 }
 
@@ -213,10 +230,9 @@ Status StarburstManager::AppendLocked(ObjectId id, Descriptor* d,
     if (d->last_alloc_pages != PatternPages(d->first_pages, last_idx)) {
       auto map = MapSegments(*d);
       const SegInfo& last = map.back();
-      std::string tail(last.bytes, '\0');
-      LOB_RETURN_IF_ERROR(ReadRange(map, last.start, last.bytes,
-                                    tail.data()));
-      tail.append(data.substr(pos));
+      SpanList tail;
+      LOB_RETURN_IF_ERROR(ViewRange(map, last.start, last.bytes, &tail));
+      tail.Append(data.data() + pos, data.size() - pos);
       to_free->push_back(Segment{last.page, last.alloc});
       d->ptrs.pop_back();
       d->used_bytes -= static_cast<uint32_t>(last.bytes);
@@ -267,7 +283,7 @@ Status StarburstManager::Append(ObjectId id, std::string_view data) {
 }
 
 Status StarburstManager::RebuildTail(Descriptor* d, size_t k,
-                                     std::string_view tail, OpContext* ctx,
+                                     const SpanList& tail, OpContext* ctx,
                                      std::vector<ScopedExtent>* fresh) {
   LOB_TRACE_SPAN(sys_->disk(), "sb.rebuild_tail");
   const uint64_t P = page_size();
@@ -282,7 +298,7 @@ Status StarburstManager::RebuildTail(Descriptor* d, size_t k,
   }
   d->used_bytes = static_cast<uint32_t>(prefix);
 
-  if (tail.empty()) {
+  if (tail.bytes() == 0) {
     if (k == 0) {
       d->first_pages = 0;
       d->last_alloc_pages = 0;
@@ -294,31 +310,22 @@ Status StarburstManager::RebuildTail(Descriptor* d, size_t k,
   }
   if (d->first_pages == 0) {
     d->first_pages = static_cast<uint32_t>(
-        std::min<uint64_t>(CeilDiv(tail.size(), P),
+        std::min<uint64_t>(CeilDiv(tail.bytes(), P),
                            options_.max_segment_pages));
   }
+  SpanCursor src(tail);
   uint64_t pos = 0;
-  while (pos < tail.size()) {
+  while (pos < tail.bytes()) {
     const uint32_t idx = static_cast<uint32_t>(d->ptrs.size());
     const uint32_t pattern = PatternPages(d->first_pages, idx);
-    const uint64_t rem = tail.size() - pos;
+    const uint64_t rem = tail.bytes() - pos;
     const uint32_t pages = static_cast<uint32_t>(
         std::min<uint64_t>(pattern, CeilDiv(rem, P)));
     auto seg = ScopedExtent::Allocate(sys_->leaf_area(), sys_->pool(), pages);
     if (!seg.ok()) return seg.status();
     const uint64_t take =
         std::min<uint64_t>(static_cast<uint64_t>(pages) * P, rem);
-    // Write through copy-buffer-sized chunks (paper 3.5). Chunks are
-    // page-aligned, so each lands in fresh pages with one sequential call.
-    uint64_t part = 0;
-    while (part < take) {
-      const uint64_t chunk =
-          std::min<uint64_t>(take - part, sys_->config().copy_buffer_bytes);
-      LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
-          leaf_area_id(), seg->first_page() + static_cast<PageId>(part / P),
-          tail.data() + pos + part, chunk));
-      part += chunk;
-    }
+    LOB_RETURN_IF_ERROR(WriteFreshChunks(seg->first_page(), take, &src));
     (void)ctx;
     d->ptrs.push_back(seg->first_page());
     fresh->push_back(std::move(*seg));
@@ -365,24 +372,17 @@ Status StarburstManager::SpliceBytes(ObjectId id, uint64_t offset,
   const uint64_t prefix = map.empty() ? 0 : map[k].start;
   const uint64_t size = d->used_bytes;
 
-  // Assemble the new tail through copy-buffer-sized reads.
-  std::string tail;
-  tail.reserve(size - prefix - deleted + inserted.size());
-  if (offset > prefix) {
-    const size_t at = tail.size();
-    tail.resize(at + (offset - prefix));
-    LOB_RETURN_IF_ERROR(ReadRange(map, prefix, offset - prefix, &tail[at]));
-  }
-  tail.append(inserted);
-  if (offset + deleted < size) {
-    const size_t at = tail.size();
-    tail.resize(at + (size - offset - deleted));
-    LOB_RETURN_IF_ERROR(ReadRange(map, offset + deleted,
-                                  size - offset - deleted, &tail[at]));
-  }
+  // Assemble the new tail, through copy-buffer-sized reads, as views of
+  // the old bytes around the inserted ones.
+  SpanList tail;
+  LOB_RETURN_IF_ERROR(ViewRange(map, prefix, offset - prefix, &tail));
+  tail.Append(inserted.data(), inserted.size());
+  LOB_RETURN_IF_ERROR(
+      ViewRange(map, offset + deleted, size - offset - deleted, &tail));
   // Build the new tail first; the old segments stay allocated (and
   // referenced by the on-disk descriptor) until Save() commits, so a fault
-  // anywhere in the rebuild leaves the object readable and fsck-clean.
+  // anywhere in the rebuild leaves the object readable and fsck-clean —
+  // and nothing writes them, so the views above stay valid.
   std::vector<ScopedExtent> fresh;
   std::vector<Segment> to_free;
   for (size_t i = k; i < map.size(); ++i) {
@@ -426,6 +426,8 @@ Status StarburstManager::Replace(ObjectId id, uint64_t offset,
   auto map = MapSegments(*d);
   std::vector<ScopedExtent> fresh;
   std::vector<Segment> to_free;
+  SpanList old_bytes;
+  SpanList content;
   uint64_t done = 0;
   for (size_t i = 0; i < map.size() && done < data.size(); ++i) {
     SegInfo& seg = map[i];
@@ -439,23 +441,22 @@ Status StarburstManager::Replace(ObjectId id, uint64_t offset,
       // segment stays live until the descriptor commits below — a fault
       // while shadowing a later segment must leave every earlier old
       // segment intact, since the on-disk descriptor still points there.
-      std::string content(seg.bytes, '\0');
-      LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
-          leaf_area_id(), seg.page, seg.bytes, 0, seg.bytes, content.data()));
-      content.replace(local, take, data.substr(done, take));
+      // The segment is viewed with one call and the replaced bytes are
+      // spliced into the span list, so each byte is copied once.
+      old_bytes.Clear();
+      LOB_RETURN_IF_ERROR(sys_->pool()->ViewSegmentRange(
+          leaf_area_id(), seg.page, seg.bytes, 0, seg.bytes, &old_bytes));
+      content.Clear();
+      SpanCursor old_cur(old_bytes);
+      old_cur.Take(local, &content);
+      content.Append(data.data() + done, take);
+      old_cur.Skip(take);
+      old_cur.Take(seg.bytes - local - take, &content);
       auto ns =
           ScopedExtent::Allocate(sys_->leaf_area(), sys_->pool(), seg.alloc);
       if (!ns.ok()) return ns.status();
-      const uint64_t P2 = page_size();
-      uint64_t part = 0;
-      while (part < content.size()) {
-        const uint64_t chunk = std::min<uint64_t>(
-            content.size() - part, sys_->config().copy_buffer_bytes);
-        LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
-            leaf_area_id(), ns->first_page() + static_cast<PageId>(part / P2),
-            content.data() + part, chunk));
-        part += chunk;
-      }
+      SpanCursor src(content);
+      LOB_RETURN_IF_ERROR(WriteFreshChunks(ns->first_page(), seg.bytes, &src));
       to_free.push_back(Segment{seg.page, seg.alloc});
       d->ptrs[i] = ns->first_page();
       seg.page = ns->first_page();

@@ -113,11 +113,19 @@ class StarburstManager : public LargeObjectManager {
   /// Expands the descriptor into per-segment locations.
   std::vector<SegInfo> MapSegments(const Descriptor& d) const;
 
-  /// Reads object bytes [off, off+n) into dst, one I/O call per
-  /// (segment, copy-buffer chunk) intersection.
+  /// Appends object bytes [off, off+n) to `out` as views (see
+  /// BufferPool::ViewSegmentRange), one I/O call per (segment, copy-buffer
+  /// chunk) intersection. The views borrow the old segments' pages, which
+  /// stay allocated and unwritten until the caller's Save() commits.
   [[nodiscard]]
-  Status ReadRange(const std::vector<SegInfo>& map, uint64_t off, uint64_t n,
-                   char* dst);
+  Status ViewRange(const std::vector<SegInfo>& map, uint64_t off, uint64_t n,
+                   SpanList* out);
+
+  /// Writes the next `n` bytes of `src` into the fresh segment at `first`
+  /// through copy-buffer-sized chunks (paper 3.5). Chunks are page-aligned,
+  /// so each lands in fresh pages with one sequential call.
+  [[nodiscard]]
+  Status WriteFreshChunks(PageId first, uint64_t n, SpanCursor* src);
 
   /// Appends `data`, filling the last segment then allocating
   /// pattern-sized successors. Freshly allocated segments are handed back
@@ -130,14 +138,14 @@ class StarburstManager : public LargeObjectManager {
                       OpContext* ctx, std::vector<ScopedExtent>* fresh,
                       std::vector<Segment>* to_free);
 
-  /// Replaces segments [k, end) with segments holding `tail` (already in
-  /// memory), following the pattern sizes for positions k, k+1, ...;
+  /// Replaces segments [k, end) with segments holding the byte stream
+  /// `tail`, following the pattern sizes for positions k, k+1, ...;
   /// writes go through copy-buffer-sized chunks. Same guard protocol as
   /// AppendLocked: new segments stay armed in `fresh` until the caller
   /// saves the descriptor. The *caller* queues the replaced segments for
   /// freeing — this function only builds.
   [[nodiscard]]
-  Status RebuildTail(Descriptor* d, size_t k, std::string_view tail,
+  Status RebuildTail(Descriptor* d, size_t k, const SpanList& tail,
                      OpContext* ctx, std::vector<ScopedExtent>* fresh);
 
   /// After a successful Save(): disarms every guard in `fresh` and frees

@@ -12,6 +12,14 @@
 namespace lob {
 namespace {
 
+// Fails every foreground I/O call after `k` successes, until ClearFaults().
+FaultSpec StickyAfter(uint64_t k) {
+  FaultSpec spec;
+  spec.kind = FaultKind::kSticky;
+  spec.after_calls = k;
+  return spec;
+}
+
 std::string TempPath(const char* tag) {
   return std::string(::testing::TempDir()) + "/lobstore_" + tag + ".img";
 }
@@ -188,14 +196,14 @@ TEST(DatabaseTest, DuplicateNameRollbackSurvivesInjectedFailure) {
   // rollback error), and the database must keep working once the fault
   // clears. Sweep the fault depth so the failure lands at every point of
   // the create/bind/rollback sequence at least once.
-  for (int64_t depth = 0; depth < 12; ++depth) {
+  for (uint64_t depth = 0; depth < 12; ++depth) {
     auto db = Database::Create();
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateObject("x", Engine::kEos).ok());
-    (*db)->sys()->disk()->InjectFailureAfter(depth);
+    (*db)->sys()->disk()->ArmFault(StickyAfter(depth));
     auto dup = (*db)->CreateObject("x", Engine::kEsm);
     EXPECT_FALSE(dup.ok()) << "depth " << depth;
-    (*db)->sys()->disk()->InjectFailureAfter(-1);
+    (*db)->sys()->disk()->ClearFaults();
     // The database stays usable: the original binding is intact and new
     // names can still be created.
     auto found = (*db)->Lookup("x");

@@ -16,6 +16,14 @@
 namespace lob {
 namespace {
 
+// Fails every foreground I/O call after `k` successes, until ClearFaults().
+FaultSpec StickyAfter(uint64_t k) {
+  FaultSpec spec;
+  spec.kind = FaultKind::kSticky;
+  spec.after_calls = k;
+  return spec;
+}
+
 std::string Pattern(uint64_t seed, size_t n) {
   std::string out(n, '\0');
   Rng rng(seed);
@@ -50,13 +58,13 @@ class FailureInjectionTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(FailureInjectionTest, ReadFailurePropagates) {
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyAfter(0));
   std::string out;
   Status s = mgr_->Read(id_, 100000, 50000, &out);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   // Clearing the fault restores full function.
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   ASSERT_TRUE(mgr_->Read(id_, 100000, 50000, &out).ok());
   EXPECT_EQ(out, Pattern(1, 300000).substr(100000, 50000));
 }
@@ -64,9 +72,9 @@ TEST_P(FailureInjectionTest, ReadFailurePropagates) {
 TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
   // Trip the fault at several depths into each operation; all must return
   // a Status (no crash) and the system must keep working once cleared.
-  for (int64_t depth : {0, 1, 2, 5}) {
+  for (uint64_t depth : {0u, 1u, 2u, 5u}) {
     for (int op = 0; op < 4; ++op) {
-      sys_.disk()->InjectFailureAfter(depth);
+      sys_.disk()->ArmFault(StickyAfter(depth));
       std::string buf = Pattern(7, 20000);
       Status s;
       switch (op) {
@@ -85,7 +93,7 @@ TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
           break;
         }
       }
-      sys_.disk()->InjectFailureAfter(-1);
+      sys_.disk()->ClearFaults();
       // Depending on caching the operation may complete without I/O; what
       // is forbidden is a crash or a hung state. If it failed, the error
       // must be the injected one.
@@ -96,7 +104,7 @@ TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
     }
   }
   // After all the chaos the object is still readable end to end.
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   auto size = mgr_->Size(id_);
   ASSERT_TRUE(size.ok());
   std::string out;
@@ -107,9 +115,9 @@ TEST_P(FailureInjectionTest, FailedAppendDoesNotLoseExistingBytes) {
   // Appends only touch the object's tail; a failed append must leave the
   // prefix intact.
   const std::string before = Pattern(1, 300000);
-  sys_.disk()->InjectFailureAfter(1);
+  sys_.disk()->ArmFault(StickyAfter(1));
   (void)mgr_->Append(id_, Pattern(9, 100000));
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   std::string out;
   ASSERT_TRUE(mgr_->Read(id_, 0, before.size(), &out).ok());
   EXPECT_EQ(out, before);

@@ -184,19 +184,6 @@ TEST_F(FaultModelTest, SuspendedCallsNeitherFireNorAdvance) {
   EXPECT_FALSE(WritePage(1).ok()) << "fault is still due once resumed";
 }
 
-TEST_F(FaultModelTest, LegacyClearRemovesOnlyLegacyFaults) {
-  FaultSpec keep;
-  keep.after_calls = 5;
-  disk_.ArmFault(keep);
-  disk_.InjectFailureAfter(3);
-  EXPECT_EQ(disk_.armed_faults(), 2u);
-  disk_.InjectFailureAfter(-1);
-  EXPECT_EQ(disk_.armed_faults(), 1u)
-      << "ArmFault-armed faults survive the legacy clear";
-  disk_.ClearFaults();
-  EXPECT_EQ(disk_.armed_faults(), 0u);
-}
-
 TEST_F(FaultModelTest, ForegroundCallsCountsSuccessesOnly) {
   ASSERT_TRUE(WritePage(0).ok());
   ASSERT_TRUE(ReadPage(0).ok());

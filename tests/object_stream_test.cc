@@ -11,6 +11,14 @@
 namespace lob {
 namespace {
 
+// Fails every foreground I/O call after `k` successes, until ClearFaults().
+FaultSpec StickyAfter(uint64_t k) {
+  FaultSpec spec;
+  spec.kind = FaultKind::kSticky;
+  spec.after_calls = k;
+  return spec;
+}
+
 std::string Pattern(uint64_t seed, size_t n) {
   std::string out(n, '\0');
   Rng rng(seed);
@@ -136,12 +144,12 @@ TEST_P(ObjectStreamTest, WriterLastStatusIsStickyAcrossFailedFlush) {
   const std::string piece = Pattern(6, 5000);
   ASSERT_TRUE(writer.Write(piece).ok()) << "stays staged, no I/O yet";
 
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyAfter(0));
   Status failed = writer.Flush();
   EXPECT_FALSE(failed.ok()) << "injected failure must propagate";
   EXPECT_FALSE(writer.last_status().ok())
       << "the failure must be recorded, not just returned";
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
 
   // The staged bytes were not lost: a retry lands them.
   ASSERT_TRUE(writer.Flush().ok());
@@ -157,11 +165,11 @@ TEST_P(ObjectStreamTest, WriterRecordsFailureFromWriteTriggeredAppend) {
   // inside Write itself; an I/O failure there must surface both as the
   // returned Status and in last_status.
   ObjectWriter writer(mgr_.get(), id_, /*chunk_bytes=*/8 * 1024);
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyAfter(0));
   Status s = writer.Write(Pattern(7, 16 * 1024));
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(writer.last_status().ok());
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
 }
 
 TEST_P(ObjectStreamTest, WriterDoubleFaultPreservesFirstError) {

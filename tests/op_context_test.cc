@@ -8,6 +8,14 @@
 namespace lob {
 namespace {
 
+// Fails every foreground I/O call after `k` successes, until ClearFaults().
+FaultSpec StickyAfter(uint64_t k) {
+  FaultSpec spec;
+  spec.kind = FaultKind::kSticky;
+  spec.after_calls = k;
+  return spec;
+}
+
 class OpContextTest : public ::testing::Test {
  protected:
   OpContextTest() : disk_(cfg_), pool_(&disk_, cfg_) {
@@ -97,9 +105,9 @@ TEST_F(OpContextTest, FailedFinishClearsDeferredState) {
   OpContext ctx(&pool_);
   StageDirty(0, 'a');
   ctx.DeferFlush(area_, 0, 1);
-  disk_.InjectFailureAfter(0);
+  disk_.ArmFault(StickyAfter(0));
   EXPECT_FALSE(ctx.Finish().ok()) << "injected I/O failure must propagate";
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_FALSE(ctx.has_pending())
       << "a failed Finish must still clear the context";
 
@@ -119,9 +127,9 @@ TEST_F(OpContextTest, FailedFinishClearsShadowMarks) {
   StageDirty(0, 'a');
   ctx.DeferFlush(area_, 0, 1);
   ctx.NoteShadowed(area_, 3);
-  disk_.InjectFailureAfter(0);
+  disk_.ArmFault(StickyAfter(0));
   ASSERT_FALSE(ctx.Finish().ok());
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_FALSE(ctx.AlreadyShadowed(area_, 3))
       << "the next operation must be allowed to shadow the page again";
 }
@@ -134,9 +142,9 @@ TEST_F(OpContextTest, FinishAttemptsRemainingRangesAfterFailure) {
   StageDirty(5, 'b');
   ctx.DeferFlush(area_, 0, 1);
   ctx.DeferFlush(area_, 5, 1);
-  disk_.InjectFailureAfter(1);  // first flush fails, second succeeds
+  disk_.ArmFault(StickyAfter(1));  // first flush succeeds, second fails
   EXPECT_FALSE(ctx.Finish().ok());
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_EQ(disk_.stats().write_calls, 1u)
       << "the second range still flushed after the first failed";
 }

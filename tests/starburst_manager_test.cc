@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -274,6 +275,84 @@ TEST_F(StarburstTest, RandomOpsMatchOracle) {
     }
   }
   ExpectContent(oracle);
+}
+
+// ---- Tail rebuild: bytes and pinned metered I/O per op ----
+
+// Metered I/O of one op: calls and pages each way.
+struct IoPin {
+  uint64_t read_calls;
+  uint64_t write_calls;
+  uint64_t pages_read;
+  uint64_t pages_written;
+};
+
+// Drives every Starburst copy site (SpliceBytes, the trimmed-last-segment
+// rebuild in Append, the shadowed Replace) on an object whose tail is
+// longer than the 512 KB copy buffer, so chunk edges fall inside spans.
+// After each op the bytes must equal a std::string reference and the op's
+// metered I/O must equal figures pinned from the copying implementation
+// (scratch tail string): moving the tail through borrowed page views
+// changes host work only, never a call or a page.
+TEST_F(StarburstTest, TailRebuildBytesAndIoArePinned) {
+  ASSERT_TRUE(cfg_.shadowing);
+  ASSERT_EQ(cfg_.copy_buffer_bytes, 512u * 1024u);
+  // A 2-page first append fixes the pattern at 2, 4, 8, ... pages, so the
+  // first two segments take the pool's buffered path and later ones the
+  // unbuffered 3-step path.
+  std::string oracle = Pattern(100, 8000);
+  ASSERT_TRUE(mgr_->Append(id_, oracle).ok());
+  for (int i = 0; i < 96; ++i) {
+    const std::string c = Pattern(200 + static_cast<uint64_t>(i), 20000);
+    ASSERT_TRUE(mgr_->Append(id_, c).ok());
+    oracle += c;
+  }
+  ExpectContent(oracle);
+
+  auto check = [&](const char* what, const std::function<Status()>& op,
+                   const IoPin& want) {
+    const IoStats before = sys_->stats();
+    ASSERT_TRUE(op().ok()) << what;
+    const IoStats d = IoStats::Delta(before, sys_->stats());
+    EXPECT_EQ(d.read_calls, want.read_calls) << what;
+    EXPECT_EQ(d.write_calls, want.write_calls) << what;
+    EXPECT_EQ(d.pages_read, want.pages_read) << what;
+    EXPECT_EQ(d.pages_written, want.pages_written) << what;
+    ExpectContent(oracle);
+  };
+
+  // Shift by a non-page multiple inside the large segments.
+  const std::string ins = Pattern(1, 5001);
+  oracle.insert(100003, ins);
+  check("insert, unaligned shift",
+        [&] { return mgr_->Insert(id_, 100003, ins); }, {9, 6, 457, 458});
+  oracle.erase(700001, 3333);
+  check("delete, unaligned shift",
+        [&] { return mgr_->Delete(id_, 700001, 3333); }, {6, 3, 345, 346});
+  const std::string head = Pattern(2, 7777);
+  oracle.insert(0, head);
+  check("insert at 0", [&] { return mgr_->Insert(id_, 0, head); },
+        {9, 9, 471, 474});
+  const uint64_t cut = oracle.size() - 300017;
+  oracle.erase(cut);
+  check("delete through the end",
+        [&] { return mgr_->Delete(id_, cut, 300017); }, {3, 2, 146, 146});
+  // The rebuilt last segment is trimmed to its bytes, so an append that
+  // overflows it rebuilds it to pattern size (Append step 3).
+  const std::string more = Pattern(3, 50000);
+  oracle += more;
+  check("append onto trimmed last segment",
+        [&] { return mgr_->Append(id_, more); }, {2, 3, 146, 159});
+  // Shadowed replaces: one across the two buffered segments, one inside a
+  // segment larger than the copy buffer.
+  const std::string rep_small = Pattern(4, 3000);
+  oracle.replace(8000, rep_small.size(), rep_small);
+  check("shadowed replace, buffered segments",
+        [&] { return mgr_->Replace(id_, 8000, rep_small); }, {2, 2, 6, 6});
+  const std::string rep_big = Pattern(5, 9000);
+  oracle.replace(1200077, rep_big.size(), rep_big);
+  check("shadowed replace, large segment",
+        [&] { return mgr_->Replace(id_, 1200077, rep_big); }, {1, 2, 157, 158});
 }
 
 }  // namespace

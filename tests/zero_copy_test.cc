@@ -3,7 +3,10 @@
 // (copy-on-write), survive eviction and SaveState/RestoreState, keep
 // fault injection firing on the batched ReadRun/WriteRun entry points,
 // and produce byte-identical images and modeled costs with the zero-copy
-// path disabled (StorageConfig::pool_zero_copy = false).
+// path disabled (StorageConfig::pool_zero_copy = false). The byte-gather
+// WriteSpans must meter and fault like Write, and the span view of a
+// segment range must match ReadSegmentRange byte for byte and call for
+// call.
 
 #include <cstring>
 #include <string>
@@ -139,6 +142,285 @@ TEST(SimDiskZeroCopy, WriteFaultLeavesImageUntouched) {
   const char* srcs[1] = {next.data()};
   ASSERT_FALSE(disk.WriteRun(a, 0, 1, srcs).ok());
   EXPECT_EQ(disk.PeekPage(a, 0)[0], 'o');  // failed write changed nothing
+}
+
+// ---- SimDisk byte-gather write (WriteSpans) ----
+
+std::string PageBytes(const SimDisk& disk, AreaId a, PageId p) {
+  const char* img = disk.PeekPage(a, p);
+  return img == nullptr ? std::string(disk.page_size(), '\0')
+                        : std::string(img, disk.page_size());
+}
+
+TEST(SimDiskGatherWrite, SpansCrossPagesZeroSizeAndNullSpans) {
+  StorageConfig cfg;
+  SimDisk disk(cfg);
+  const AreaId a = disk.CreateArea();
+  const uint32_t P = cfg.page_size;
+  const std::string x(1000, 'x');
+  const std::string y(P + 1000, 'y');
+  const std::string z(P - 7, 'z');
+  // x | (empty) | 2000 zeros | y | (empty) | z: y straddles the first
+  // page boundary, z the second, and the last page is 103 bytes short.
+  const ByteSpan spans[] = {{x.data(), x.size()}, {y.data(), 0},
+                            {nullptr, 2000},      {y.data(), y.size()},
+                            {nullptr, 0},         {z.data(), z.size()}};
+  MutPageRef imgs[3];
+  ASSERT_TRUE(disk.WriteSpans(a, 4, spans, 6, imgs).ok());
+  const std::string want =
+      x + std::string(2000, '\0') + y + z + std::string(103, '\0');
+  ASSERT_EQ(want.size(), 3u * P);
+  for (PageId i = 0; i < 3; ++i) {
+    EXPECT_EQ(imgs[i].data, disk.PeekPage(a, 4 + i));
+    EXPECT_EQ(PageBytes(disk, a, 4 + i), want.substr(size_t{i} * P, P))
+        << "page " << i;
+  }
+  EXPECT_EQ(disk.AreaHighWater(a), 7u);
+}
+
+TEST(SimDiskGatherWrite, PartialLastPageIsZeroPadded) {
+  StorageConfig cfg;
+  SimDisk disk(cfg);
+  const AreaId a = disk.CreateArea();
+  auto old = PageOf(cfg, 'o');
+  ASSERT_TRUE(disk.Write(a, 0, 1, old.data()).ok());
+  ASSERT_TRUE(disk.Write(a, 1, 1, old.data()).ok());
+  const std::string head(cfg.page_size + 100, 'h');
+  const ByteSpan span{head.data(), head.size()};
+  ASSERT_TRUE(disk.WriteSpans(a, 0, &span, 1).ok());
+  EXPECT_EQ(PageBytes(disk, a, 0), std::string(cfg.page_size, 'h'));
+  // The old bytes past the stream are overwritten with zeros.
+  EXPECT_EQ(PageBytes(disk, a, 1),
+            std::string(100, 'h') + std::string(cfg.page_size - 100, '\0'));
+}
+
+TEST(SimDiskGatherWrite, MeteredLikeWriteOfTheSameRange) {
+  StorageConfig cfg;
+  SimDisk spans_disk(cfg);
+  SimDisk plain(cfg);
+  const AreaId a = spans_disk.CreateArea();
+  const AreaId b = plain.CreateArea();
+  const std::string bytes(2 * cfg.page_size + 5, 's');
+  const ByteSpan spans[] = {{bytes.data(), 10}, {bytes.data() + 10,
+                                                 bytes.size() - 10}};
+  ASSERT_TRUE(spans_disk.WriteSpans(a, 9, spans, 2).ok());
+  std::vector<char> buf(3 * cfg.page_size, 's');
+  ASSERT_TRUE(plain.Write(b, 9, 3, buf.data()).ok());
+  const IoStats& got = spans_disk.stats();
+  const IoStats& want = plain.stats();
+  EXPECT_EQ(got.read_calls, want.read_calls);
+  EXPECT_EQ(got.write_calls, want.write_calls);
+  EXPECT_EQ(got.pages_read, want.pages_read);
+  EXPECT_EQ(got.pages_written, want.pages_written);
+  EXPECT_EQ(got.ms, want.ms);
+  EXPECT_EQ(spans_disk.foreground_calls(), plain.foreground_calls());
+}
+
+TEST(SimDiskGatherWrite, EmptyStreamIsAnUncountedInvalidCall) {
+  StorageConfig cfg;
+  SimDisk disk(cfg);
+  const AreaId a = disk.CreateArea();
+  const ByteSpan empty{nullptr, 0};
+  EXPECT_EQ(disk.WriteSpans(a, 0, &empty, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk.stats().Seeks(), 0u);
+  EXPECT_EQ(disk.foreground_calls(), 0u);
+}
+
+TEST(SimDiskGatherWrite, FaultFiresBeforeAnyByteLandsWithWriteRunCountdown) {
+  // The same one-shot write fault armed on two disks: the span write and
+  // the page-pointer WriteRun must fail on the same call, leave the
+  // target images untouched, and advance the same counters.
+  StorageConfig cfg;
+  SimDisk spans_disk(cfg);
+  SimDisk run_disk(cfg);
+  const AreaId a = spans_disk.CreateArea();
+  const AreaId b = run_disk.CreateArea();
+  auto old = PageOf(cfg, 'o');
+  for (PageId p = 0; p < 2; ++p) {
+    ASSERT_TRUE(spans_disk.Write(a, p, 1, old.data()).ok());
+    ASSERT_TRUE(run_disk.Write(b, p, 1, old.data()).ok());
+  }
+  FaultSpec spec;
+  spec.kind = FaultKind::kOneShot;
+  spec.match_reads = false;
+  spec.after_calls = 1;
+  spans_disk.ArmFault(spec);
+  run_disk.ArmFault(spec);
+
+  auto next = std::vector<char>(2 * cfg.page_size, 'n');
+  const ByteSpan spans[] = {{next.data(), 100},
+                            {next.data() + 100, next.size() - 100}};
+  const char* srcs[2] = {next.data(), next.data() + cfg.page_size};
+  ASSERT_TRUE(spans_disk.WriteSpans(a, 4, spans, 2).ok());  // call 1
+  ASSERT_TRUE(run_disk.WriteRun(b, 4, 2, srcs).ok());
+  EXPECT_FALSE(spans_disk.WriteSpans(a, 0, spans, 2).ok());  // fires
+  EXPECT_FALSE(run_disk.WriteRun(b, 0, 2, srcs).ok());
+  for (PageId p = 0; p < 2; ++p) {
+    EXPECT_EQ(PageBytes(spans_disk, a, p), std::string(cfg.page_size, 'o'));
+    EXPECT_EQ(PageBytes(run_disk, b, p), std::string(cfg.page_size, 'o'));
+  }
+  EXPECT_EQ(spans_disk.foreground_calls(), run_disk.foreground_calls());
+  EXPECT_EQ(spans_disk.faults_fired(), 1u);
+  EXPECT_EQ(run_disk.faults_fired(), 1u);
+  EXPECT_EQ(spans_disk.stats().write_calls, run_disk.stats().write_calls);
+  ASSERT_TRUE(spans_disk.WriteSpans(a, 0, spans, 2).ok());  // healed
+  EXPECT_EQ(PageBytes(spans_disk, a, 1), std::string(cfg.page_size, 'n'));
+}
+
+// ---- BufferPool::ViewSegmentRange against ReadSegmentRange ----
+
+std::string Flatten(const SpanList& list) {
+  std::string out;
+  for (size_t i = 0; i < list.count(); ++i) {
+    const ByteSpan& s = list.spans()[i];
+    if (s.data == nullptr) {
+      out.append(s.size, '\0');
+    } else {
+      out.append(s.data, s.size);
+    }
+  }
+  return out;
+}
+
+// One disk + pool seeded with 16 recognizable pages (page 13 never
+// written, so it reads as zeros), optionally with a dirty cached page.
+struct ViewRig {
+  ViewRig(const StorageConfig& cfg, int dirty_page)
+      : disk(cfg), pool(&disk, cfg) {
+    area = disk.CreateArea();
+    const uint32_t P = cfg.page_size;
+    std::vector<char> page(P);
+    for (PageId p = 0; p < 16; ++p) {
+      if (p == 13) continue;
+      for (uint32_t i = 0; i < P; ++i) {
+        page[i] = static_cast<char>('A' + (p * 7 + i) % 50);
+      }
+      LOB_CHECK_OK(disk.Write(area, p, 1, page.data()));
+    }
+    if (dirty_page >= 0) {
+      auto g = pool.FixPage(area, static_cast<PageId>(dirty_page),
+                            FixMode::kRead);
+      LOB_CHECK_OK(g.status());
+      std::memset(g->mutable_data() + 10, '#', 20);
+      g->MarkDirty();
+    }
+  }
+  SimDisk disk;
+  BufferPool pool;
+  AreaId area = 0;
+};
+
+TEST(BufferPoolView, MatchesReadSegmentRangeBytesAndIo) {
+  const uint64_t P = StorageConfig().page_size;
+  const uint64_t valid = 16 * P - 300;
+  struct Case {
+    const char* name;
+    uint64_t off;
+    uint64_t n;
+    int dirty_page;  // -1: none
+  };
+  const Case cases[] = {
+      {"buffered, aligned", 0, 2 * P, -1},
+      {"buffered, unaligned", P - 9, 2 * P, -1},
+      {"buffered, dirty cached page", P + 5, 3 * P, 2},
+      {"unbuffered, aligned", P, 8 * P, -1},
+      {"unbuffered, unaligned both ends", P / 2 + 3, 9 * P + 100, -1},
+      {"unbuffered, aligned start, partial end", 2 * P, 6 * P + 1, -1},
+      {"unbuffered, never-written middle page", 10 * P + 1, 5 * P, -1},
+      {"unbuffered, dirty cached middle page", 3, 8 * P + 200, 5},
+      {"unbuffered, chunk into the valid tail", 7 * P + 11,
+       valid - 7 * P - 11, -1},
+  };
+  for (const bool zero_copy : {true, false}) {
+    StorageConfig cfg;
+    cfg.pool_zero_copy = zero_copy;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (zero_copy ? " (zero-copy pool)" : " (copying pool)"));
+      ViewRig read_rig(cfg, c.dirty_page);
+      ViewRig view_rig(cfg, c.dirty_page);
+      const IoStats read_before = read_rig.disk.stats();
+      const IoStats view_before = view_rig.disk.stats();
+
+      std::string got(c.n, '?');
+      ASSERT_TRUE(read_rig.pool
+                      .ReadSegmentRange(read_rig.area, 0, valid, c.off, c.n,
+                                        got.data())
+                      .ok());
+      SpanList view;
+      view.Append("prefix", 6);  // the view appends after existing bytes
+      ASSERT_TRUE(view_rig.pool
+                      .ViewSegmentRange(view_rig.area, 0, valid, c.off, c.n,
+                                        &view)
+                      .ok());
+      EXPECT_EQ(view.bytes(), c.n + 6);
+      EXPECT_EQ(Flatten(view), "prefix" + got);
+
+      const IoStats rd = IoStats::Delta(read_before, read_rig.disk.stats());
+      const IoStats vd = IoStats::Delta(view_before, view_rig.disk.stats());
+      EXPECT_EQ(vd.read_calls, rd.read_calls);
+      EXPECT_EQ(vd.write_calls, rd.write_calls);
+      EXPECT_EQ(vd.pages_read, rd.pages_read);
+      EXPECT_EQ(vd.pages_written, rd.pages_written);
+      EXPECT_EQ(vd.ms, rd.ms);
+      EXPECT_EQ(view_rig.pool.CachedPagesSorted(),
+                read_rig.pool.CachedPagesSorted());
+      EXPECT_EQ(view_rig.pool.hits(), read_rig.pool.hits());
+      EXPECT_EQ(view_rig.pool.misses(), read_rig.pool.misses());
+    }
+  }
+}
+
+TEST(BufferPoolView, MiddlePagesBorrowedBoundaryBytesStaged) {
+  StorageConfig cfg;
+  ViewRig rig(cfg, -1);
+  const uint64_t P = cfg.page_size;
+  SpanList view;
+  ASSERT_TRUE(
+      rig.pool.ViewSegmentRange(rig.area, 0, 16 * P, 100, 6 * P, &view).ok());
+  // Partial page 0, whole pages 1..5, partial page 6.
+  ASSERT_EQ(view.count(), 7u);
+  const ByteSpan* s = view.spans();
+  for (PageId p = 1; p <= 5; ++p) {
+    EXPECT_EQ(s[p].data, rig.disk.PeekPage(rig.area, p)) << "page " << p;
+    EXPECT_EQ(s[p].size, P);
+  }
+  // Boundary bytes are copies: neither the disk image nor a pool frame,
+  // both of which may change or go away later in the operation.
+  EXPECT_NE(s[0].data, rig.disk.PeekPage(rig.area, 0) + 100);
+  EXPECT_NE(s[6].data, rig.disk.PeekPage(rig.area, 6));
+  EXPECT_EQ(s[0].size, P - 100);
+  EXPECT_EQ(s[6].size, 100u);
+  // Evicting and invalidating the boundary frames leaves the view intact.
+  const std::string before = Flatten(view);
+  ASSERT_TRUE(rig.pool.Invalidate(rig.area, 0, 16).ok());
+  EXPECT_EQ(Flatten(view), before);
+}
+
+TEST(SpanListTest, MergesContiguousPiecesAndSlicesWithCursor) {
+  const std::string a = "0123456789";
+  SpanList list;
+  list.Append(a.data(), 4);
+  list.Append(a.data() + 4, 6);  // continues the previous piece
+  list.Append(nullptr, 3);
+  list.Append(nullptr, 2);  // zeros after zeros
+  list.Append(a.data(), 0);  // empty pieces are dropped
+  list.AppendCopy("xy", 2);
+  list.AppendCopy("z", 1);  // consecutive copies are contiguous
+  EXPECT_EQ(list.count(), 3u);
+  EXPECT_EQ(list.bytes(), 18u);
+  EXPECT_EQ(Flatten(list), a + std::string(5, '\0') + "xyz");
+
+  SpanCursor cur(list);
+  SpanList out;
+  cur.Take(3, &out);
+  cur.Skip(9);
+  cur.Take(6, &out);
+  EXPECT_EQ(Flatten(out), "012" + std::string(3, '\0') + "xyz");
+  list.Clear();
+  EXPECT_EQ(list.count(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
 }
 
 // ---- BufferPool copy-on-write contract ----

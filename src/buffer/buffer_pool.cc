@@ -84,22 +84,18 @@ PageGuard::~PageGuard() { Release(); }
 
 const char* PageGuard::data() const {
   LOB_CHECK(pool_ != nullptr);
-  ReaderMutexLock lock(&pool_->mu_);
-  // The returned pointer outlives the latch but not the pin: frame slots
-  // and borrowed page images are stable while the pin count is non-zero.
-  return pool_->FrameDataLocked(slot_);
+  // Frame slots and borrowed page images are stable while the pin is held.
+  return pool_->FrameData(slot_);
 }
 
 char* PageGuard::mutable_data() {
   LOB_CHECK(pool_ != nullptr);
-  WriterMutexLock lock(&pool_->mu_);
-  return pool_->MaterializeSlotLocked(slot_);
+  return pool_->MaterializeSlot(slot_);
 }
 
 void PageGuard::MarkDirty() {
   LOB_CHECK(pool_ != nullptr);
-  WriterMutexLock lock(&pool_->mu_);
-  pool_->MaterializeSlotLocked(slot_);
+  pool_->MaterializeSlot(slot_);
   pool_->frames_[slot_].dirty = true;
 }
 
@@ -125,7 +121,7 @@ int BufferPool::FindSlot(AreaId area, PageId page) const {
   return map_.Find(Key(area, page));
 }
 
-char* BufferPool::MaterializeSlotLocked(uint32_t slot) {
+char* BufferPool::MaterializeSlot(uint32_t slot) {
   Frame& f = frames_[slot];
   if (f.borrow != nullptr) {
     std::memcpy(SlotData(slot), f.borrow, config_.page_size);
@@ -134,15 +130,10 @@ char* BufferPool::MaterializeSlotLocked(uint32_t slot) {
   return SlotData(slot);
 }
 
-void BufferPool::UnpinLocked(uint32_t slot) {
+void BufferPool::Unpin(uint32_t slot) {
   Frame& f = frames_[slot];
   LOB_CHECK_GT(f.pins, 0u);
   f.pins--;
-}
-
-void BufferPool::Unpin(uint32_t slot) {
-  WriterMutexLock lock(&mu_);
-  UnpinLocked(slot);
 }
 
 Status BufferPool::EvictSlot(uint32_t slot) {
@@ -197,14 +188,7 @@ StatusOr<uint32_t> BufferPool::GetFreeSlot() {
 
 StatusOr<PageGuard> BufferPool::FixPage(AreaId area, PageId page,
                                         FixMode mode) {
-  WriterMutexLock lock(&mu_);
-  auto slot_or = FixSlotLocked(area, page, mode);
-  if (!slot_or.ok()) return slot_or.status();
-  return PageGuard(this, *slot_or);
-}
-
-StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
-                                             FixMode mode) {
+  disk_->CheckOwner("BufferPool::FixPage");
   int existing = FindSlot(area, page);
   if (existing >= 0) {
     uint32_t slot = static_cast<uint32_t>(existing);
@@ -212,7 +196,7 @@ StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
     f.pins++;
     f.lru = ++tick_;
     hits_++;
-    return slot;
+    return PageGuard(this, slot);
   }
   auto slot_or = GetFreeSlot();
   if (!slot_or.ok()) return slot_or.status();
@@ -246,7 +230,7 @@ StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
   f.pins = 1;
   f.lru = ++tick_;
   map_.Insert(Key(area, page), slot);
-  return slot;
+  return PageGuard(this, slot);
 }
 
 Status BufferPool::FlushAndDropRange(AreaId area, PageId first,
@@ -265,9 +249,9 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
                                     uint64_t seg_valid_bytes,
                                     uint64_t byte_off, uint64_t n_bytes,
                                     char* dst) {
-  WriterMutexLock lock(&mu_);
+  disk_->CheckOwner("BufferPool::ReadSegmentRange");
   char* out = dst;
-  LOB_RETURN_IF_ERROR(ReadRangeLocked(
+  LOB_RETURN_IF_ERROR(ReadRange(
       area, seg_first, seg_valid_bytes, byte_off, n_bytes,
       [&out](const char* data, uint64_t n, bool /*borrowed*/) {
         if (data == nullptr) {
@@ -285,9 +269,9 @@ Status BufferPool::ViewSegmentRange(AreaId area, PageId seg_first,
                                     uint64_t seg_valid_bytes,
                                     uint64_t byte_off, uint64_t n_bytes,
                                     SpanList* out) {
-  WriterMutexLock lock(&mu_);
+  disk_->CheckOwner("BufferPool::ViewSegmentRange");
   const uint64_t before = out->bytes();
-  LOB_RETURN_IF_ERROR(ReadRangeLocked(
+  LOB_RETURN_IF_ERROR(ReadRange(
       area, seg_first, seg_valid_bytes, byte_off, n_bytes,
       [out](const char* data, uint64_t n, bool borrowed) {
         if (borrowed) {
@@ -301,10 +285,9 @@ Status BufferPool::ViewSegmentRange(AreaId area, PageId seg_first,
 }
 
 template <typename Sink>
-Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
-                                   uint64_t seg_valid_bytes,
-                                   uint64_t byte_off, uint64_t n_bytes,
-                                   const Sink& sink) {
+Status BufferPool::ReadRange(AreaId area, PageId seg_first,
+                             uint64_t seg_valid_bytes, uint64_t byte_off,
+                             uint64_t n_bytes, const Sink& sink) {
   if (n_bytes == 0) return Status::OK();
   if (byte_off + n_bytes > seg_valid_bytes) {
     return Status::OutOfRange("read past segment valid bytes");
@@ -385,10 +368,9 @@ Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
         // page (one seek each), handing each page over while its pin is
         // held since a later fetch may evict an earlier page again.
         for (PageId p = p0; p <= p1; ++p) {
-          auto s_or = FixSlotLocked(area, p, FixMode::kRead);
-          if (!s_or.ok()) return s_or.status();
-          emit_part(p, FrameDataLocked(*s_or));
-          UnpinLocked(*s_or);
+          auto g = FixPage(area, p, FixMode::kRead);
+          if (!g.ok()) return g.status();
+          emit_part(p, g->data());
         }
         return Status::OK();
       }
@@ -398,7 +380,7 @@ Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
       int s = FindSlot(area, p);
       LOB_CHECK_GE(s, 0);
       frames_[static_cast<uint32_t>(s)].lru = ++tick_;
-      emit_part(p, FrameDataLocked(static_cast<uint32_t>(s)));
+      emit_part(p, FrameData(static_cast<uint32_t>(s)));
     }
     return Status::OK();
   }
@@ -409,10 +391,9 @@ Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
   PageId mid_first = p0;
   uint32_t mid_count = np;
   if (byte_off % P != 0) {
-    auto s_or = FixSlotLocked(area, p0, FixMode::kRead);
-    if (!s_or.ok()) return s_or.status();
-    emit_part(p0, FrameDataLocked(*s_or));
-    UnpinLocked(*s_or);
+    auto g = FixPage(area, p0, FixMode::kRead);
+    if (!g.ok()) return g.status();
+    emit_part(p0, g->data());
     ++mid_first;
     --mid_count;
   }
@@ -439,10 +420,9 @@ Status BufferPool::ReadRangeLocked(AreaId area, PageId seg_first,
     for (uint32_t i = 0; i < mid_count; ++i) sink(refs[i].data, P, true);
   }
   if (tail_partial) {
-    auto s_or = FixSlotLocked(area, p1, FixMode::kRead);
-    if (!s_or.ok()) return s_or.status();
-    emit_part(p1, FrameDataLocked(*s_or));
-    UnpinLocked(*s_or);
+    auto g = FixPage(area, p1, FixMode::kRead);
+    if (!g.ok()) return g.status();
+    emit_part(p1, g->data());
   }
   return Status::OK();
 }
@@ -451,8 +431,8 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
                                      uint64_t seg_valid_bytes,
                                      uint64_t byte_off, uint64_t n_bytes,
                                      const char* src) {
+  disk_->CheckOwner("BufferPool::WriteSegmentRange");
   if (n_bytes == 0) return Status::OK();
-  WriterMutexLock lock(&mu_);
   const uint64_t P = config_.page_size;
   const PageId p0 = seg_first + static_cast<PageId>(byte_off / P);
   const PageId p1 =
@@ -472,16 +452,15 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
   if (np <= config_.max_pool_segment_pages) {
     // Buffered: stage into frames; the caller flushes at operation end.
     for (PageId p = p0; p <= p1; ++p) {
-      auto s_or = FixSlotLocked(
-          area, p, needs_read(p) ? FixMode::kRead : FixMode::kNew);
-      if (!s_or.ok()) return s_or.status();
+      auto g =
+          FixPage(area, p, needs_read(p) ? FixMode::kRead : FixMode::kNew);
+      if (!g.ok()) return g.status();
       const uint64_t page_begin = static_cast<uint64_t>(p - seg_first) * P;
       const uint64_t lo = std::max(byte_off, page_begin);
       const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
-      std::memcpy(MaterializeSlotLocked(*s_or) + (lo - page_begin),
+      std::memcpy(g->mutable_data() + (lo - page_begin),
                   src + (lo - byte_off), hi - lo);
-      frames_[*s_or].dirty = true;
-      UnpinLocked(*s_or);
+      g->MarkDirty();
     }
     return Status::OK();
   }
@@ -501,10 +480,9 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
     }
     char* stage = scratch_.Allocate(P);
     if (needs_read(p)) {
-      auto s_or = FixSlotLocked(area, p, FixMode::kRead);
-      if (!s_or.ok()) return s_or.status();
-      std::memcpy(stage, FrameDataLocked(*s_or), P);
-      UnpinLocked(*s_or);
+      auto g = FixPage(area, p, FixMode::kRead);
+      if (!g.ok()) return g.status();
+      std::memcpy(stage, g->data(), P);
     } else {
       std::memset(stage, 0, P);
     }
@@ -537,10 +515,10 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
 
 Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
                                      const ByteSpan* spans, size_t n_spans) {
+  disk_->CheckOwner("BufferPool::WriteFreshSegment");
   uint64_t n_bytes = 0;
   for (size_t i = 0; i < n_spans; ++i) n_bytes += spans[i].size;
   if (n_bytes == 0) return Status::OK();
-  WriterMutexLock lock(&mu_);
   const uint64_t P = config_.page_size;
   const uint32_t np = static_cast<uint32_t>((n_bytes + P - 1) / P);
   ScratchMark sm(&scratch_);
@@ -565,12 +543,7 @@ Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
 }
 
 Status BufferPool::FlushRun(AreaId area, PageId first, uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
-  return FlushRunLocked(area, first, n_pages);
-}
-
-Status BufferPool::FlushRunLocked(AreaId area, PageId first,
-                                  uint32_t n_pages) {
+  disk_->CheckOwner("BufferPool::FlushRun");
   uint32_t i = 0;
   while (i < n_pages) {
     int s = FindSlot(area, first + i);
@@ -610,7 +583,7 @@ Status BufferPool::FlushRunLocked(AreaId area, PageId first,
 }
 
 Status BufferPool::FlushAll() {
-  WriterMutexLock lock(&mu_);
+  disk_->CheckOwner("BufferPool::FlushAll");
   // Collect dirty pages, sorted, and flush maximal contiguous runs.
   std::vector<std::pair<uint64_t, uint32_t>> dirty;  // (key, slot)
   for (uint32_t i = 0; i < frames_.size(); ++i) {
@@ -624,14 +597,14 @@ Status BufferPool::FlushAll() {
     while (j < dirty.size() && dirty[j].first == dirty[j - 1].first + 1) ++j;
     const Frame& f0 = frames_[dirty[i].second];
     LOB_RETURN_IF_ERROR(
-        FlushRunLocked(f0.area, f0.page, static_cast<uint32_t>(j - i)));
+        FlushRun(f0.area, f0.page, static_cast<uint32_t>(j - i)));
     i = j;
   }
   return Status::OK();
 }
 
 Status BufferPool::Invalidate(AreaId area, PageId first, uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
+  disk_->CheckOwner("BufferPool::Invalidate");
   for (uint32_t i = 0; i < n_pages; ++i) {
     int s = FindSlot(area, first + i);
     if (s < 0) continue;
@@ -650,7 +623,6 @@ std::vector<BufferPool::CachedPage> BufferPool::CachedPagesSorted() const {
   // lookup table, then pin the ordering explicitly: the result must be a
   // pure function of *which* pages are cached, never of insertion order
   // or hash seeding.
-  ReaderMutexLock lock(&mu_);
   std::vector<CachedPage> out;
   out.reserve(frames_.size());
   for (const Frame& f : frames_) {
@@ -664,18 +636,15 @@ std::vector<BufferPool::CachedPage> BufferPool::CachedPagesSorted() const {
 }
 
 bool BufferPool::IsCached(AreaId area, PageId page) const {
-  ReaderMutexLock lock(&mu_);
   return FindSlot(area, page) >= 0;
 }
 
 bool BufferPool::IsDirty(AreaId area, PageId page) const {
-  ReaderMutexLock lock(&mu_);
   int s = FindSlot(area, page);
   return s >= 0 && frames_[static_cast<uint32_t>(s)].dirty;
 }
 
 BufferPool::State BufferPool::SaveState() const {
-  ReaderMutexLock lock(&mu_);
   for (const Frame& f : frames_) LOB_CHECK_EQ(f.pins, 0u);
   State state;
   state.arena = arena_;
@@ -689,7 +658,7 @@ BufferPool::State BufferPool::SaveState() const {
 }
 
 void BufferPool::RestoreState(const State& state) {
-  WriterMutexLock lock(&mu_);
+  disk_->CheckOwner("BufferPool::RestoreState");
   for (const Frame& f : frames_) LOB_CHECK_EQ(f.pins, 0u);
   // A read-only walk can still have *written* to disk (evicting a dirty
   // victim); restoring the frame's dirty bit afterwards is safe because
@@ -704,7 +673,6 @@ void BufferPool::RestoreState(const State& state) {
 }
 
 void BufferPool::PublishCounters(ObsRegistry* obs) const {
-  ReaderMutexLock lock(&mu_);
   obs->Counter("pool.fix_hits") = hits_;
   obs->Counter("pool.fix_misses") = misses_;
   obs->Counter("pool.evictions") = evictions_;

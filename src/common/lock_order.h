@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -45,30 +44,15 @@ namespace lob {
     "ThreadPool queue + stop flag; never held while a task body runs")       \
   X(kCampaign, 20, "exec.campaign",                                          \
     "campaign progress counter; taken briefly by workers between cells")     \
-  X(kLobTree, 24, "lobtree.positional",                                      \
-    "PositionalTree node table + aux state; an op latches its tree before "  \
-    "touching the allocator or the pool")                                    \
-  X(kBuddyDirectory, 26, "buddy.directory",                                  \
-    "DatabaseArea buddy directory + free tree; acquired under the tree "     \
-    "latch and held across directory-block pool I/O (26 < 30, so "           \
-    "allocator bookkeeping orders before frame latching)")                   \
-  X(kBufferPool, 30, "buffer.pool",                                          \
-    "BufferPool frame table, LRU clock, hit/miss counters; outermost "       \
-    "storage-layer lock (SimDisk charges obs/trace beneath it)")             \
-  X(kObsRegistry, 40, "obs.registry",                                        \
-    "ObsRegistry op ledger, counters, histograms; acquired under the "       \
-    "pool lock by SimDisk attribution")                                      \
-  X(kTraceSession, 50, "trace.session",                                      \
-    "TraceSession span stack + event buffer; spans open under the pool "     \
-    "lock")                                                                  \
-  X(kTimeline, 60, "trace.timeline",                                         \
-    "TimelineSampler sample buffer")                                         \
   X(kLogSink, 100, "common.log_sink",                                        \
     "LOB_LOG_WARN stderr sink; innermost — warnings must be emittable "      \
     "while holding any other lock")
 
 /// Ranks for every mutex in the tree. `lobtool locks` dumps this table;
-/// docs/ARCHITECTURE.md documents it as a contract.
+/// docs/ARCHITECTURE.md documents it as a contract. Storage, obs and
+/// trace state has no rank: a database is confined to one thread
+/// (common/thread_owner.h), so only cross-thread exec and logging state
+/// is locked.
 enum class LockRank : int {
 #define LOB_LOCK_RANK_ENUM(name, rank, id, desc) name = rank,
   LOB_LOCK_RANK_TABLE(LOB_LOCK_RANK_ENUM)
@@ -77,9 +61,9 @@ enum class LockRank : int {
 
 /// One row of the rank table, for introspection (`lobtool locks`).
 struct LockRankRow {
-  const char* name;         // enumerator, e.g. "kBufferPool"
+  const char* name;         // enumerator, e.g. "kThreadPool"
   int rank;                 // numeric rank (acquisition order, ascending)
-  const char* id;           // stable dotted id, e.g. "buffer.pool"
+  const char* id;           // stable dotted id, e.g. "exec.thread_pool"
   const char* description;  // what it protects and why it sits here
 };
 
@@ -89,7 +73,7 @@ inline constexpr LockRankRow kLockRankRows[] = {
 #undef LOB_LOCK_RANK_ROW
 };
 
-/// Dotted id for a rank ("buffer.pool"), or "?" for an unregistered value.
+/// Dotted id for a rank ("exec.campaign"), or "?" for an unregistered value.
 inline const char* LockRankName(LockRank r) {
   for (const LockRankRow& row : kLockRankRows) {
     if (row.rank == static_cast<int>(r)) return row.id;
@@ -200,15 +184,6 @@ class LOB_CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  /// Non-blocking acquire. Rank order is enforced even though a try-lock
-  /// cannot deadlock: an out-of-order TryLock is a latent design bug.
-  bool TryLock() LOB_TRY_ACQUIRE(true) {
-    internal::CheckAcquireOrder(rank_);
-    if (!mu_.try_lock()) return false;
-    internal::PushHeld(this, rank_);
-    return true;
-  }
-
   /// Runtime + static assertion that the calling thread holds this mutex.
   void AssertHeld() const LOB_ASSERT_CAPABILITY(this) {
 #if LOB_LOCK_ORDER_CHECKS
@@ -239,69 +214,6 @@ class LOB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Capability-annotated reader/writer mutex with a mandatory rank. Shared
-/// acquisition obeys the same rank order as exclusive acquisition.
-class LOB_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(static_cast<int>(rank)) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() LOB_ACQUIRE() {
-    internal::CheckAcquireOrder(rank_);
-    mu_.lock();
-    internal::PushHeld(this, rank_);
-  }
-  void Unlock() LOB_RELEASE() {
-    internal::PopHeld(this);
-    mu_.unlock();
-  }
-  void LockShared() LOB_ACQUIRE_SHARED() {
-    internal::CheckAcquireOrder(rank_);
-    mu_.lock_shared();
-    internal::PushHeld(this, rank_);
-  }
-  void UnlockShared() LOB_RELEASE_SHARED() {
-    internal::PopHeld(this);
-    mu_.unlock_shared();
-  }
-
-  LockRank rank() const { return static_cast<LockRank>(rank_); }
-
- private:
-  std::shared_mutex mu_;
-  const int rank_;
-};
-
-/// RAII exclusive lock for SharedMutex.
-class LOB_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) LOB_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() LOB_RELEASE() { mu_->Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII shared lock for SharedMutex.
-class LOB_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) LOB_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderMutexLock() LOB_RELEASE_SHARED() { mu_->UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable for use with Mutex. No predicate overload on

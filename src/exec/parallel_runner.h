@@ -40,9 +40,11 @@ namespace lob {
 /// JobOutput is constructed inside Map's task lambda, touched only by the
 /// one worker running that job, and read by the submitting thread strictly
 /// after the job's future resolves — the future's release/acquire edge
-/// orders the accesses. It must never be shared across jobs; shared
-/// cross-worker state belongs behind an annotated Mutex with a rank
-/// (see campaign.cc's progress counter for the pattern).
+/// orders the accesses. It must never be shared across jobs. This is the
+/// same one-thread contract every StorageSystem follows
+/// (common/thread_owner.h, docs/ARCHITECTURE.md "Concurrency model");
+/// shared cross-worker state belongs behind an annotated Mutex with a
+/// rank (see campaign.cc's progress counter for the pattern).
 class JobOutput {
  public:
   /// printf into the buffer.

@@ -101,9 +101,7 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
             current_op_ != nullptr ? current_op_ : ObsRegistry::kUnattributed);
         attr_gen_ = obs_->attribution_generation();
       }
-      // Charge through the registry latch: AccountCall can run under the
-      // BufferPool latch (rank 30 < kObsRegistry 40, so the order holds).
-      obs_->AttributeTo(static_cast<ObsRegistry::OpRecord*>(attr_rec_), call);
+      static_cast<ObsRegistry::OpRecord*>(attr_rec_)->io += call;
     }
 #if LOB_TRACING
     if (trace_ != nullptr) {
@@ -256,6 +254,7 @@ void SimDisk::GatherCopy(AreaId area, PageId first, uint32_t n_pages,
 }
 
 Status SimDisk::Read(AreaId area, PageId first, uint32_t n_pages, void* dst) {
+  CheckOwner("SimDisk::Read");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
   char* out = static_cast<char*>(dst);
@@ -275,6 +274,7 @@ Status SimDisk::Read(AreaId area, PageId first, uint32_t n_pages, void* dst) {
 
 Status SimDisk::Write(AreaId area, PageId first, uint32_t n_pages,
                       const void* src) {
+  CheckOwner("SimDisk::Write");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
   const ByteSpan all{static_cast<const char*>(src),
@@ -286,6 +286,7 @@ Status SimDisk::Write(AreaId area, PageId first, uint32_t n_pages,
 
 Status SimDisk::ReadRun(AreaId area, PageId first, uint32_t n_pages,
                         PageRef* refs) {
+  CheckOwner("SimDisk::ReadRun");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
   Area& a = areas_[area];
@@ -298,6 +299,7 @@ Status SimDisk::ReadRun(AreaId area, PageId first, uint32_t n_pages,
 
 Status SimDisk::WriteRun(AreaId area, PageId first, uint32_t n_pages,
                          const char* const* srcs, MutPageRef* imgs) {
+  CheckOwner("SimDisk::WriteRun");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
   GatherCopy(
@@ -309,6 +311,7 @@ Status SimDisk::WriteRun(AreaId area, PageId first, uint32_t n_pages,
 
 Status SimDisk::WriteSpans(AreaId area, PageId first, const ByteSpan* spans,
                            size_t n_spans, MutPageRef* imgs) {
+  CheckOwner("SimDisk::WriteSpans");
   uint64_t total = 0;
   for (size_t i = 0; i < n_spans; ++i) total += spans[i].size;
   const uint64_t pages = (total + config_.page_size - 1) / config_.page_size;

@@ -11,6 +11,9 @@
 // An I/O call always covers physically adjacent pages of one area; callers
 // that need scattered pages issue multiple calls (and pay multiple seeks),
 // exactly as the simulated systems would on a real device.
+//
+// Threading: a SimDisk and the StorageSystem built on it are used by one
+// thread; see CheckOwner.
 
 #ifndef LOB_IOMODEL_SIM_DISK_H_
 #define LOB_IOMODEL_SIM_DISK_H_
@@ -22,6 +25,7 @@
 
 #include "common/config.h"
 #include "common/status.h"
+#include "common/thread_owner.h"
 #include "iomodel/fault_model.h"
 #include "iomodel/io_stats.h"
 #include "trace/tracing.h"
@@ -119,6 +123,12 @@ class SimDisk {
   [[nodiscard]]
   Status WriteSpans(AreaId area, PageId first, const ByteSpan* spans,
                     size_t n_spans, MutPageRef* imgs = nullptr);
+
+  /// Owner check for this database (common/thread_owner.h): binds the
+  /// calling thread on first use and aborts naming `entry` if a later
+  /// call comes from another thread. The metered calls run it; the
+  /// BufferPool runs it at its fixing and I/O entry points.
+  void CheckOwner(const char* entry) { owner_.Check(entry); }
 
   /// Accumulated I/O counters since construction or the last ResetStats().
   const IoStats& stats() const { return stats_; }
@@ -327,6 +337,7 @@ class SimDisk {
   void AccountCall(bool is_read, uint32_t n_pages);
 
   StorageConfig config_;
+  ThreadOwner owner_;
   std::vector<Area> areas_;
   IoStats stats_;
   // Queue-model state (see the section comment above). The in-flight

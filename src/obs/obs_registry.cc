@@ -143,7 +143,6 @@ uint64_t Histogram::BucketLowerBound(int i) {
 
 void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
                               bool record_queue) {
-  MutexLock lock(&mu_);
   // One heterogeneous lookup per op end; the label's ledger record and
   // histogram destinations are resolved (and their name strings built)
   // only the first time the label is seen.
@@ -152,10 +151,10 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
     const std::string base(label);
     OpEndEntry e;
     e.rec = &ops_[base];
-    e.ms = &HistoLocked(base + ".ms");
+    e.ms = &Histo(base + ".ms");
     if (high_res_ops_) e.ms->EnableSubBuckets();
-    e.seeks = &HistoLocked(base + ".seeks");
-    e.pages = &HistoLocked(base + ".pages");
+    e.seeks = &Histo(base + ".seeks");
+    e.pages = &Histo(base + ".pages");
     it = op_end_memo_.emplace(base, e).first;
   }
   OpEndEntry& e = it->second;
@@ -166,7 +165,7 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
   e.pages->Add(op_delta.PagesTransferred());
   if (record_queue) {
     if (e.queue == nullptr) {
-      e.queue = &HistoLocked(std::string(label) + ".queue_ms");
+      e.queue = &Histo(std::string(label) + ".queue_ms");
       if (high_res_ops_) e.queue->EnableSubBuckets();
     }
     e.queue->Add(static_cast<uint64_t>(
@@ -175,7 +174,6 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
 }
 
 IoStats ObsRegistry::AttributedTotal() const {
-  MutexLock lock(&mu_);
   IoStats total;
   for (const auto& [label, rec] : ops_) total += rec.io;
   return total;
@@ -193,9 +191,6 @@ bool ObsRegistry::ConservationHolds(const IoStats& global) const {
 }
 
 void ObsRegistry::MergeFrom(const ObsRegistry& other) {
-  // Destination latch only; `other` is read bare under the quiesced-source
-  // contract (see the header) since kObsRegistry cannot nest with itself.
-  MutexLock lock(&mu_);
   for (const auto& [label, rec] : other.ops_) {
     OpRecord& mine = ops_[label];
     mine.count += rec.count;
@@ -208,7 +203,6 @@ void ObsRegistry::MergeFrom(const ObsRegistry& other) {
 }
 
 void ObsRegistry::Reset() {
-  MutexLock lock(&mu_);
   ops_.clear();
   counters_.clear();
   histograms_.clear();
@@ -217,7 +211,6 @@ void ObsRegistry::Reset() {
 }
 
 std::string ObsRegistry::ToJson() const {
-  MutexLock lock(&mu_);
   std::string out = "{\n  \"ops\": {";
   bool first = true;
   for (const auto& [label, rec] : ops_) {
@@ -270,7 +263,6 @@ std::string ObsRegistry::ToJson() const {
 }
 
 std::string ObsRegistry::ToCsv() const {
-  MutexLock lock(&mu_);
   std::string out =
       "op,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,"
       "ms\n";

@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
 #include "iomodel/io_stats.h"
 
 namespace lob {
@@ -96,16 +94,8 @@ class Histogram {
   std::vector<uint64_t> sub_;
 };
 
-/// Named counters, histograms and the per-operation I/O ledger.
-///
-/// Locking: the mutating entry points used on the measurement path
-/// (AttributeCall/AttributeTo/RecordOpEnd) and the exporters take the
-/// registry latch (LockRank::kObsRegistry — above the pool latch, since
-/// SimDisk charges the ledger while BufferPool holds rank 30). The
-/// reference-returning accessors (Counter, Histo, ops(), ...) are
-/// thread-*compatible*, not thread-safe: they hand out pointers into
-/// guarded maps for single-threaded setup and quiesced export phases, and
-/// are marked LOB_UNLOCKED_ACCESS with that contract.
+/// Named counters, histograms and the per-operation I/O ledger. Like the
+/// StorageSystem it observes, a registry is used by one thread at a time.
 class ObsRegistry {
  public:
   /// Label charged for I/O issued outside any OpScope.
@@ -117,64 +107,34 @@ class ObsRegistry {
     IoStats io;          ///< I/O charged to the label by SimDisk
   };
 
-  /// Named monotonic counter (created on first use). Thread-compatible
-  /// accessor: the returned reference escapes the latch, so callers must
-  /// be single-threaded with respect to this registry (setup, per-worker
-  /// registries, quiesced export).
-  uint64_t& Counter(const std::string& name) LOB_UNLOCKED_ACCESS {
-    return counters_[name];
-  }
+  /// Named monotonic counter (created on first use).
+  uint64_t& Counter(const std::string& name) { return counters_[name]; }
 
   /// When set, per-op `.ms` histograms created from here on opt into
   /// fixed-resolution sub-buckets (see Histogram::EnableSubBuckets) for
   /// tighter tail quantiles. Off by default: 34*16 extra counters per
   /// label are only worth it when percentile precision matters.
-  void set_high_res_op_histograms(bool v) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    high_res_ops_ = v;
-  }
-  bool high_res_op_histograms() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return high_res_ops_;
-  }
+  void set_high_res_op_histograms(bool v) { high_res_ops_ = v; }
+  bool high_res_op_histograms() const { return high_res_ops_; }
 
-  /// Named histogram (created on first use). Thread-compatible accessor —
-  /// same escaping-reference contract as Counter().
-  Histogram& Histo(const std::string& name) LOB_UNLOCKED_ACCESS {
-    return histograms_[name];
-  }
+  /// Named histogram (created on first use).
+  Histogram& Histo(const std::string& name) { return histograms_[name]; }
 
-  /// Charges one metered I/O call to `label`. Called by SimDisk.
-  void AttributeCall(const char* label, const IoStats& call)
-      LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  /// Charges one metered I/O call to `label`.
+  void AttributeCall(const char* label, const IoStats& call) {
     ops_[label].io += call;
-  }
-
-  /// Charges one metered I/O call to a cached ledger record — SimDisk's
-  /// hot path (one latched add per call, no map lookup). Runs under the
-  /// BufferPool latch (rank 30), which is why kObsRegistry ranks above it.
-  void AttributeTo(OpRecord* rec, const IoStats& call) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    rec->io += call;
   }
 
   /// Ledger record for `label` (created on first use). SimDisk caches the
   /// returned pointer for the duration of an operation so attribution is
   /// one map lookup per op instead of one per metered call; the pointer is
   /// map-node-stable until the ledger is reset, which bumps the generation
-  /// below. Charge through AttributeTo, not the raw pointer.
-  OpRecord* AttributionRecord(const char* label) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return &ops_[label];
-  }
+  /// below.
+  OpRecord* AttributionRecord(const char* label) { return &ops_[label]; }
 
   /// Incremented whenever the ledger is cleared; invalidates cached
   /// AttributionRecord pointers.
-  uint64_t attribution_generation() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return attr_gen_;
-  }
+  uint64_t attribution_generation() const { return attr_gen_; }
 
   /// Records the end of one operation: bumps the label's count and feeds
   /// the per-op histograms (<label>.ms / .seeks / .pages). `op_delta` is
@@ -184,35 +144,28 @@ class ObsRegistry {
   /// a <label>.queue_ms histogram — queue-disabled runs create no such
   /// histograms, keeping their export bytes unchanged. Called by OpScope.
   void RecordOpEnd(const char* label, const IoStats& op_delta,
-                   bool record_queue = false) LOB_EXCLUDES(mu_);
+                   bool record_queue = false);
 
-  /// Thread-compatible map views (escaping references; quiesced readers
-  /// only — exporters, tests, post-join aggregation).
-  const std::map<std::string, OpRecord>& ops() const LOB_UNLOCKED_ACCESS {
-    return ops_;
-  }
-  const std::map<std::string, uint64_t>& counters() const
-      LOB_UNLOCKED_ACCESS {
+  const std::map<std::string, OpRecord>& ops() const { return ops_; }
+  const std::map<std::string, uint64_t>& counters() const {
     return counters_;
   }
-  const std::map<std::string, Histogram>& histograms() const
-      LOB_UNLOCKED_ACCESS {
+  const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
 
   /// Sum of attributed I/O over every label (the conservation invariant
   /// compares this against the SimDisk global stats).
-  IoStats AttributedTotal() const LOB_EXCLUDES(mu_);
+  IoStats AttributedTotal() const;
 
   /// True when the attributed total matches `global` exactly (counters) and
   /// within rounding (modeled ms).
-  bool ConservationHolds(const IoStats& global) const LOB_EXCLUDES(mu_);
+  bool ConservationHolds(const IoStats& global) const;
 
   /// Drops the attribution ledger only (SimDisk::ResetStats calls this so
   /// the conservation invariant survives stats resets). Counters and
   /// histograms are kept: they are observability, not conservation state.
-  void ResetAttribution() LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  void ResetAttribution() {
     ops_.clear();
     op_end_memo_.clear();
     ++attr_gen_;
@@ -221,27 +174,19 @@ class ObsRegistry {
   /// Adds another registry's ledger, counters and histograms into this
   /// one (counts and I/O accumulate; histograms MergeFrom). Used to
   /// aggregate per-cell registries into one suite-level view.
-  /// Analysis off: `other` must be quiesced (its workers joined) — the
-  /// same-rank kObsRegistry latch cannot be taken twice, so the source
-  /// side is read without locking by contract.
-  void MergeFrom(const ObsRegistry& other) LOB_NO_THREAD_SAFETY_ANALYSIS;
+  void MergeFrom(const ObsRegistry& other);
 
   /// Drops everything.
-  void Reset() LOB_EXCLUDES(mu_);
+  void Reset();
 
   /// Exports ops, counters and histograms as a JSON object.
-  std::string ToJson() const LOB_EXCLUDES(mu_);
+  std::string ToJson() const;
 
   /// Exports the per-op ledger as CSV
   /// (label,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,ms).
-  std::string ToCsv() const LOB_EXCLUDES(mu_);
+  std::string ToCsv() const;
 
  private:
-  /// Histo() under the latch (RecordOpEnd resolves label destinations).
-  Histogram& HistoLocked(const std::string& name) LOB_REQUIRES(mu_) {
-    return histograms_[name];
-  }
-
   /// Resolved destinations of one label's RecordOpEnd: the ledger record
   /// plus the three per-op histograms. All pointers are map-node-stable;
   /// the memo is cleared whenever ops_ is (Reset/ResetAttribution).
@@ -253,16 +198,12 @@ class ObsRegistry {
     Histogram* queue = nullptr;  ///< resolved lazily, queue-model runs only
   };
 
-  /// Registry latch (LockRank::kObsRegistry); mutable for const
-  /// exporters and generation reads.
-  mutable Mutex mu_{LockRank::kObsRegistry};
-  std::map<std::string, OpRecord> ops_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, uint64_t> counters_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, Histogram> histograms_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, OpEndEntry, std::less<>> op_end_memo_
-      LOB_GUARDED_BY(mu_);
-  uint64_t attr_gen_ LOB_GUARDED_BY(mu_) = 0;
-  bool high_res_ops_ LOB_GUARDED_BY(mu_) = false;
+  std::map<std::string, OpRecord> ops_;
+  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, OpEndEntry, std::less<>> op_end_memo_;
+  uint64_t attr_gen_ = 0;
+  bool high_res_ops_ = false;
 };
 
 }  // namespace lob

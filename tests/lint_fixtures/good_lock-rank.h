@@ -26,7 +26,7 @@ class GoodRank {
 
  private:
   const uint32_t capacity_ = 16;  // immutable: exempt
-  mutable Mutex mu_{LockRank::kObsRegistry};
+  mutable Mutex mu_{LockRank::kCampaign};
   CondVar cv_;
   std::vector<uint64_t> values_ LOB_GUARDED_BY(mu_);
   uint64_t count_ LOB_GUARDED_BY(mu_) = 0;

@@ -1,8 +1,10 @@
-// Tests for the ranked synchronization layer (common/lock_order.h) and the
-// latched warn-log sink: the rank table is a contract, out-of-order
-// acquisition aborts (death tests), CondVar keeps the held-rank stack
-// consistent across waits, and LOB_LOG_WARN lines stay untorn under
-// concurrency.
+// Tests for the threading contracts: a database is confined to one thread
+// (common/thread_owner.h — a second thread aborts, a ParallelRunner job
+// that owns its database passes), and the ranked synchronization layer
+// (common/lock_order.h) that guards the state really shared across
+// threads: the rank table is a contract, out-of-order acquisition aborts
+// (death tests), CondVar keeps the held-rank stack consistent across
+// waits, and LOB_LOG_WARN lines stay untorn under concurrency.
 //
 // The death tests put this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
@@ -24,13 +26,24 @@
 
 #include "common/lock_order.h"
 #include "common/logging.h"
-#include "common/thread_annotations.h"
+#include "core/factory.h"
+#include "core/storage_system.h"
+#include "exec/parallel_runner.h"
 #include "exec/thread_pool.h"
 
 namespace lob {
 namespace {
 
 // ------------------------------------------------------------- rank table
+
+TEST(LockRankTableTest, OnlyCrossThreadStateIsRanked) {
+  // Storage, obs and trace state is thread-confined and carries no rank;
+  // the table holds exactly the locks that really are shared.
+  std::vector<std::string> ids;
+  for (const LockRankRow& row : kLockRankRows) ids.emplace_back(row.id);
+  EXPECT_EQ(ids, (std::vector<std::string>{
+                     "exec.thread_pool", "exec.campaign", "common.log_sink"}));
+}
 
 TEST(LockRankTableTest, RanksStrictlyIncreaseInTableOrder) {
   int prev = -1;
@@ -63,10 +76,10 @@ TEST(LockRankTableTest, LockRankNameResolvesEveryRow) {
 // ------------------------------------------------------ in-order locking
 
 TEST(LockOrderTest, AscendingAcquisitionIsAllowed) {
-  Mutex outer{LockRank::kBufferPool};
-  Mutex inner{LockRank::kObsRegistry};
+  Mutex outer{LockRank::kThreadPool};
+  Mutex inner{LockRank::kCampaign};
   MutexLock a(&outer);
-  MutexLock b(&inner);  // 30 -> 40: strictly increasing, fine
+  MutexLock b(&inner);  // 10 -> 20: strictly increasing, fine
   outer.AssertHeld();
   inner.AssertHeld();
 }
@@ -75,39 +88,6 @@ TEST(LockOrderTest, ReacquireAfterReleaseIsAllowed) {
   Mutex mu{LockRank::kCampaign};
   { MutexLock lock(&mu); }
   { MutexLock lock(&mu); }  // the stack popped; same rank is fine again
-}
-
-TEST(LockOrderTest, TryLockSucceedsUncontendedAndTracksHeld) {
-  Mutex mu{LockRank::kCampaign};
-  ASSERT_TRUE(mu.TryLock());
-  mu.AssertHeld();
-  mu.Unlock();
-}
-
-TEST(LockOrderTest, TryLockFailureLeavesStackIntact) {
-  Mutex mu{LockRank::kCampaign};
-  MutexLock lock(&mu);
-  std::thread contender([&] {
-    // Another thread's try-lock fails (we hold it) and must not record a
-    // phantom held entry; a subsequent in-order acquire still works.
-    EXPECT_FALSE(mu.TryLock());
-    Mutex later{LockRank::kBufferPool};
-    MutexLock inner(&later);
-  });
-  contender.join();
-}
-
-TEST(LockOrderTest, SharedMutexObeysRanksForReadersAndWriters) {
-  SharedMutex rw{LockRank::kBufferPool};
-  Mutex inner{LockRank::kTraceSession};
-  {
-    ReaderMutexLock r(&rw);
-    MutexLock i(&inner);  // 30 (shared) -> 50: fine
-  }
-  {
-    WriterMutexLock w(&rw);
-    MutexLock i(&inner);
-  }
 }
 
 TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
@@ -125,8 +105,6 @@ TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
 TEST(LockOrderTest, RankAccessorReturnsConstructionRank) {
   Mutex mu{LockRank::kLogSink};
   EXPECT_EQ(mu.rank(), LockRank::kLogSink);
-  SharedMutex rw{LockRank::kBufferPool};
-  EXPECT_EQ(rw.rank(), LockRank::kBufferPool);
 }
 
 // ------------------------------------------------------------ cond vars
@@ -147,7 +125,7 @@ TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
     mu.AssertHeld();
     // And the order checker must still see rank 20 as held: acquiring a
     // lower rank here would abort, a higher one is fine.
-    Mutex inner{LockRank::kBufferPool};
+    Mutex inner{LockRank::kLogSink};
     MutexLock i(&inner);
   }
   producer.join();
@@ -159,21 +137,21 @@ using LockOrderDeathTest = ::testing::Test;
 
 TEST(LockOrderDeathTest, DescendingAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer{LockRank::kObsRegistry};
-  Mutex inner{LockRank::kBufferPool};
+  Mutex outer{LockRank::kCampaign};
+  Mutex inner{LockRank::kThreadPool};
   EXPECT_DEATH(
       {
         MutexLock a(&outer);
-        MutexLock b(&inner);  // 40 -> 30: inversion
+        MutexLock b(&inner);  // 20 -> 10: inversion
       },
-      "lock-order violation: acquiring \"buffer.pool\" \\(rank 30\\) while "
-      "holding \"obs.registry\" \\(rank 40\\)");
+      "lock-order violation: acquiring \"exec.thread_pool\" \\(rank 10\\) "
+      "while holding \"exec.campaign\" \\(rank 20\\)");
 }
 
 TEST(LockOrderDeathTest, EqualRankNestingAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex a{LockRank::kTraceSession};
-  Mutex b{LockRank::kTraceSession};
+  Mutex a{LockRank::kCampaign};
+  Mutex b{LockRank::kCampaign};
   EXPECT_DEATH(
       {
         MutexLock la(&a);
@@ -182,31 +160,81 @@ TEST(LockOrderDeathTest, EqualRankNestingAborts) {
       "lock-order violation");
 }
 
-TEST(LockOrderDeathTest, OutOfOrderTryLockAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer{LockRank::kTimeline};
-  Mutex inner{LockRank::kThreadPool};
-  EXPECT_DEATH(
-      {
-        MutexLock a(&outer);
-        inner.TryLock();  // rank-checked even though it cannot block
-      },
-      "lock-order violation");
-}
-
 TEST(LockOrderDeathTest, AssertHeldAbortsWhenNotHeld) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kBufferPool};
+  Mutex mu{LockRank::kCampaign};
   EXPECT_DEATH(mu.AssertHeld(),
-               "Mutex::AssertHeld: \"buffer.pool\" \\(rank 30\\) is not "
+               "Mutex::AssertHeld: \"exec.campaign\" \\(rank 20\\) is not "
                "held by this thread");
 }
 
 TEST(LockOrderDeathTest, UnlockOfUnheldMutexAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kBufferPool};
+  Mutex mu{LockRank::kCampaign};
   EXPECT_DEATH(mu.Unlock(),
                "lock-order: unlock of a mutex this thread does not hold");
+}
+
+// ------------------------------------------------- thread confinement
+
+// Creates an ESM object and round-trips `bytes` through it: enough to fix
+// pages, allocate, write and read on `sys`.
+bool DriveDatabase(StorageSystem* sys, size_t bytes) {
+  auto mgr = CreateEsmManager(sys, 4);
+  auto id = mgr->Create();
+  if (!id.ok()) return false;
+  const std::string data(bytes, 'x');
+  if (!mgr->Append(*id, data).ok()) return false;
+  std::string back;
+  if (!mgr->Read(*id, 0, bytes, &back).ok()) return false;
+  return back == data;
+}
+
+TEST(ThreadOwnerTest, DatabaseBuiltAndUsedInsideAJobPasses) {
+  // The bench, campaign and lobbench pattern: every job builds and drives
+  // its own StorageSystem on whichever worker runs it.
+  ThreadPool pool(3);
+  ParallelRunner runner(&pool);
+  const Mapped<int> mapped =
+      runner.Map<int>(6, [](size_t i, JobOutput* /*out*/) {
+        StorageSystem sys;
+        return DriveDatabase(&sys, 20000 + i * 1000) ? 1 : 0;
+      });
+  for (size_t i = 0; i < mapped.values.size(); ++i) {
+    EXPECT_EQ(mapped.values[i], 1) << "job " << i;
+  }
+}
+
+using ThreadOwnerDeathTest = ::testing::Test;
+
+TEST(ThreadOwnerDeathTest, SecondThreadAbortsAtPoolAndDiskEntry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StorageSystem sys;
+  bool driven = false;
+  std::thread a([&] { driven = DriveDatabase(&sys, 30000); });
+  a.join();
+  ASSERT_TRUE(driven);  // thread A owns the database now
+  const AreaId meta = sys.meta_area()->id();
+  EXPECT_DEATH(
+      {
+        std::thread b([&] {
+          auto g = sys.pool()->FixPage(meta, 0, FixMode::kRead);
+          (void)g;
+        });
+        b.join();
+      },
+      "thread-confinement violation: BufferPool::FixPage called from a "
+      "thread that does not own this database");
+  EXPECT_DEATH(
+      {
+        std::thread b([&] {
+          std::vector<char> page(sys.config().page_size);
+          (void)sys.disk()->Read(meta, 0, 1, page.data());
+        });
+        b.join();
+      },
+      "thread-confinement violation: SimDisk::Read called from a thread "
+      "that does not own this database");
 }
 
 // --------------------------------------------------------- warn-log sink
@@ -284,21 +312,19 @@ TEST(LogSinkTest, WarnWhileHoldingEveryOtherRankIsLegal) {
   // kLogSink is the innermost rank precisely so any subsystem can warn
   // while holding its own lock; prove the composition for the deepest
   // legal chain.
-  Mutex pool{LockRank::kBufferPool};
-  Mutex obs{LockRank::kObsRegistry};
-  Mutex trace{LockRank::kTraceSession};
+  Mutex pool{LockRank::kThreadPool};
+  Mutex campaign{LockRank::kCampaign};
   const std::string path = ::testing::TempDir() + "/lob_warn_nested.txt";
   {
     StderrCapture capture(path);
     MutexLock a(&pool);
-    MutexLock b(&obs);
-    MutexLock c(&trace);
-    LOB_LOG_WARN("warning under ranks 30+40+50");
+    MutexLock b(&campaign);
+    LOB_LOG_WARN("warning under ranks 10+20");
   }
   std::ifstream in(path);
   std::stringstream contents;
   contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("warning under ranks 30+40+50"),
+  EXPECT_NE(contents.str().find("warning under ranks 10+20"),
             std::string::npos);
 }
 

@@ -61,14 +61,14 @@ break them. Rules (stable IDs, see RULES below):
                           CondVar (common/lock_order.h) so every acquisition
                           carries a LockRank, is order-checked at run time,
                           and is visible to Clang -Wthread-safety.
-  LOB009 lock-rank        Every lob::Mutex / SharedMutex declaration names
-                          its rank (LockRank::k...) from the table in
+  LOB009 lock-rank        Every lob::Mutex declaration names its rank
+                          (LockRank::k...) from the table in
                           common/lock_order.h, and mutable members of a
-                          mutex-holding class carry LOB_GUARDED_BY /
-                          LOB_PT_GUARDED_BY (const/static members, the
-                          mutex itself and CondVars are exempt; genuinely
-                          unguarded state needs a LOBLINT(lock-rank)
-                          suppression stating the confinement argument).
+                          mutex-holding class carry LOB_GUARDED_BY
+                          (const/static members, the mutex itself and
+                          CondVars are exempt; genuinely unguarded state
+                          needs a LOBLINT(lock-rank) suppression stating
+                          the confinement argument).
 
 Suppressions
 ------------
@@ -548,16 +548,31 @@ def check_raw_sync(path, code, findings):
                 "visible to Clang -Wthread-safety" % m.group(1)))
 
 
-# A lob Mutex/SharedMutex variable declaration: type, name, then an
-# initializer bracket or a bare `;`. `MutexLock`, `Mutex*`, `Mutex&` and
-# constructor declarations (`Mutex(` with no name) do not match.
-MUTEX_DECL_RE = re.compile(r"\b(Mutex|SharedMutex)\s+(\w+)\s*[({;]")
+# A lob Mutex variable declaration: type, name, then an initializer
+# bracket or a bare `;`. `MutexLock`, `Mutex*`, `Mutex&` and constructor
+# declarations (`Mutex(` with no name) do not match.
+MUTEX_DECL_RE = re.compile(r"\bMutex\s+(\w+)\s*[({;]")
 # A data member with the project's trailing-underscore naming, terminated
 # by `;`, `=` or a brace initializer.
 MEMBER_RE = re.compile(r"\b([A-Za-z]\w*_)\s*(?:;|=[^=]|\{)")
 MEMBER_EXEMPT_RE = re.compile(
     r"\b(const|static|constexpr|friend|using|typedef|return|"
-    r"Mutex|SharedMutex|CondVar)\b")
+    r"Mutex|CondVar)\b")
+
+
+def _without_template_args(text):
+    """`text` with every <...> argument list removed, so the parentheses of
+    a function type (`std::function<void()>`) do not read as a call."""
+    out = []
+    depth = 0
+    for ch in text:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
 
 
 def _line_start_depths(code):
@@ -584,9 +599,9 @@ def check_lock_rank(path, code, findings):
         else:
             findings.append(Finding(
                 path, idx, "lock-rank",
-                "%s '%s' declared without a LockRank; every lock names its "
+                "Mutex '%s' declared without a LockRank; every lock names its "
                 "rank from the table in common/lock_order.h so acquisition "
-                "order is checkable" % (m.group(1), m.group(2))))
+                "order is checkable" % m.group(1)))
 
     # Members of a mutex-holding scope must be guarded: shared mutable state
     # next to a lock is either protected by it (annotate LOB_GUARDED_BY) or
@@ -606,14 +621,14 @@ def check_lock_rank(path, code, findings):
             if depths[idx - 1] != d or idx in flagged:
                 continue
             line = code[idx - 1]
-            if "LOB_GUARDED_BY" in line or "LOB_PT_GUARDED_BY" in line:
+            if "LOB_GUARDED_BY" in line:
                 continue
             if MEMBER_EXEMPT_RE.search(line):
                 continue
             mm = MEMBER_RE.search(line)
             if not mm:
                 continue
-            if "(" in line[:mm.start(1)]:
+            if "(" in _without_template_args(line[:mm.start(1)]):
                 continue  # method signature / call, not a data member
             flagged.add(idx)
             findings.append(Finding(

@@ -69,20 +69,31 @@ class ObjectCatalog {
   PageId head() const { return head_; }
 
  private:
-  struct Entry {
-    std::string name;
-    ObjectId id;
+  /// Header of a validated catalog page, as a chain walk yields it.
+  struct PageInfo {
+    PageId page = kInvalidPage;
+    PageId next = kInvalidPage;
+    uint16_t count = 0;
+    uint16_t used = 0;
   };
 
   AreaId area_id() const { return sys_->meta_area()->id(); }
 
-  /// Parses the entries of one catalog page.
-  [[nodiscard]]
-  Status ReadPage(PageId page, std::vector<Entry>* entries, PageId* next);
+  /// Formats `page` as an empty catalog page, left dirty in the pool.
+  [[nodiscard]] Status FormatEmpty(PageId page);
 
-  /// Rewrites one catalog page from an entry list (must fit).
-  [[nodiscard]] Status WritePage(PageId page, const std::vector<Entry>& entries,
-                   PageId next);
+  /// Walks the chain from `first`, pinning one page at a time with
+  /// FixPage(kRead). The header is validated first and each entry before
+  /// it is yielded; entries that do not end exactly at `used` make the
+  /// page Corruption once they are all read. `on_entry(info, name, id,
+  /// offset)` sees each entry while its page is pinned (`name` points into
+  /// the frame; `offset` is the entry's byte offset in the page) and
+  /// returns true to end the walk. `on_page(info)` runs after the page is
+  /// unpinned and returns a Status. A chain longer than the meta area's
+  /// page count is Corruption.
+  template <typename OnEntry, typename OnPage>
+  [[nodiscard]]
+  Status Walk(PageId first, OnEntry&& on_entry, OnPage&& on_page);
 
   /// Bytes an entry occupies on the page.
   static size_t EntryBytes(std::string_view name) { return 1 + name.size() + 4; }

@@ -121,6 +121,47 @@ int BufferPool::FindSlot(AreaId area, PageId page) const {
   return map_.Find(Key(area, page));
 }
 
+uint32_t BufferPool::FramesInRange(AreaId area, PageId first,
+                                   uint32_t n_pages, uint32_t* out) const {
+  uint32_t n = 0;
+  if (n_pages <= frames_.size()) {
+    // A range no longer than the pool: a lookup per page is cheaper than
+    // a scan and a sort, and finds the frames in page order.
+    for (uint32_t i = 0; i < n_pages; ++i) {
+      const int s = FindSlot(area, first + i);
+      if (s >= 0) out[n++] = static_cast<uint32_t>(s);
+    }
+    return n;
+  }
+  for (uint32_t i = 0; i < frames_.size(); ++i) {
+    const Frame& f = frames_[i];
+    // Unsigned wrap-around puts pages below `first` out of range too.
+    if (f.valid && f.area == area && f.page - first < n_pages) out[n++] = i;
+  }
+  std::sort(out, out + n, [this](uint32_t a, uint32_t b) {
+    return frames_[a].page < frames_[b].page;
+  });
+  return n;
+}
+
+void BufferPool::RefreshFrames(AreaId area, PageId first, uint32_t n,
+                               const MutPageRef* imgs) {
+  ScratchMark sm(&scratch_);
+  uint32_t* slots = scratch_.AllocArray<uint32_t>(frames_.size());
+  const uint32_t cached = FramesInRange(area, first, n, slots);
+  for (uint32_t k = 0; k < cached; ++k) {
+    Frame& f = frames_[slots[k]];
+    const char* img = imgs[f.page - first].data;
+    if (config_.pool_zero_copy) {
+      f.borrow = img;
+    } else {
+      std::memcpy(SlotData(slots[k]), img, config_.page_size);
+      f.borrow = nullptr;
+    }
+    f.dirty = false;
+  }
+}
+
 char* BufferPool::MaterializeSlot(uint32_t slot) {
   Frame& f = frames_[slot];
   if (f.borrow != nullptr) {
@@ -401,17 +442,17 @@ Status BufferPool::ReadRange(AreaId area, PageId seg_first,
   if (tail_partial) --mid_count;
   if (mid_count > 0) {
     // Keep direct I/O coherent with the pool: write back any dirty cached
-    // copies first (clean cached copies already match the disk image).
-    for (uint32_t i = 0; i < mid_count; ++i) {
-      int s = FindSlot(area, mid_first + i);
-      if (s >= 0 && frames_[static_cast<uint32_t>(s)].dirty) {
-        Frame& f = frames_[static_cast<uint32_t>(s)];
-        LOB_RETURN_IF_ERROR(
-            disk_->Write(f.area, f.page, 1, SlotData(static_cast<uint32_t>(s))));
-        f.dirty = false;
-      }
-    }
+    // copies first, in ascending page order (clean cached copies already
+    // match the disk image).
     ScratchMark sm(&scratch_);
+    uint32_t* slots = scratch_.AllocArray<uint32_t>(frames_.size());
+    const uint32_t cached = FramesInRange(area, mid_first, mid_count, slots);
+    for (uint32_t k = 0; k < cached; ++k) {
+      Frame& f = frames_[slots[k]];
+      if (!f.dirty) continue;
+      LOB_RETURN_IF_ERROR(disk_->Write(f.area, f.page, 1, SlotData(slots[k])));
+      f.dirty = false;
+    }
     PageRef* refs = scratch_.AllocArray<PageRef>(mid_count);
     {
       LOB_TRACE_SPAN(disk_, "pool.read_run");
@@ -498,18 +539,7 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
   }
   // Refresh any cached copies so the pool stays coherent: re-borrow the
   // freshly written images instead of copying them back.
-  for (PageId p = p0; p <= p1; ++p) {
-    int s = FindSlot(area, p);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
-    if (config_.pool_zero_copy) {
-      f.borrow = imgs[p - p0].data;
-    } else {
-      std::memcpy(SlotData(static_cast<uint32_t>(s)), imgs[p - p0].data, P);
-      f.borrow = nullptr;
-    }
-    f.dirty = false;
-  }
+  RefreshFrames(area, p0, np, imgs);
   return Status::OK();
 }
 
@@ -527,57 +557,41 @@ Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
     LOB_TRACE_SPAN(disk_, "pool.write_fresh");
     LOB_RETURN_IF_ERROR(disk_->WriteSpans(area, first, spans, n_spans, imgs));
   }
-  for (uint32_t i = 0; i < np; ++i) {
-    int s = FindSlot(area, first + i);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
-    if (config_.pool_zero_copy) {
-      f.borrow = imgs[i].data;
-    } else {
-      std::memcpy(SlotData(static_cast<uint32_t>(s)), imgs[i].data, P);
-      f.borrow = nullptr;
-    }
-    f.dirty = false;
-  }
+  RefreshFrames(area, first, np, imgs);
   return Status::OK();
 }
 
 Status BufferPool::FlushRun(AreaId area, PageId first, uint32_t n_pages) {
   disk_->CheckOwner("BufferPool::FlushRun");
-  uint32_t i = 0;
-  while (i < n_pages) {
-    int s = FindSlot(area, first + i);
-    if (s < 0 || !frames_[static_cast<uint32_t>(s)].dirty) {
-      ++i;
+  ScratchMark sm(&scratch_);
+  uint32_t* slots = scratch_.AllocArray<uint32_t>(frames_.size());
+  const uint32_t cached = FramesInRange(area, first, n_pages, slots);
+  const char** srcs = scratch_.AllocArray<const char*>(frames_.size());
+  uint32_t k = 0;
+  while (k < cached) {
+    if (!frames_[slots[k]].dirty) {
+      ++k;
       continue;
     }
-    // Maximal contiguous dirty run starting at first + i, gathered
+    // Maximal run of dirty frames caching consecutive pages, gathered
     // directly from the frames (dirty frames are never borrows, so their
     // bytes live in the pool slots).
-    ScratchMark sm(&scratch_);
-    ArenaVec<uint32_t> slots(&scratch_);
-    slots.push_back(static_cast<uint32_t>(s));
-    uint32_t j = i + 1;
-    while (j < n_pages) {
-      int sj = FindSlot(area, first + j);
-      if (sj < 0 || !frames_[static_cast<uint32_t>(sj)].dirty) break;
-      slots.push_back(static_cast<uint32_t>(sj));
-      ++j;
+    uint32_t end = k + 1;
+    while (end < cached && frames_[slots[end]].dirty &&
+           frames_[slots[end]].page == frames_[slots[end - 1]].page + 1) {
+      ++end;
     }
-    const uint32_t count = j - i;
-    const char** srcs = scratch_.AllocArray<const char*>(count);
-    for (uint32_t k = 0; k < count; ++k) {
-      LOB_CHECK(frames_[slots[k]].borrow == nullptr);
-      srcs[k] = SlotData(slots[k]);
+    for (uint32_t r = k; r < end; ++r) {
+      LOB_CHECK(frames_[slots[r]].borrow == nullptr);
+      srcs[r - k] = SlotData(slots[r]);
     }
     {
       LOB_TRACE_SPAN(disk_, "pool.flush");
-      LOB_RETURN_IF_ERROR(disk_->WriteRun(area, first + i, count, srcs));
+      LOB_RETURN_IF_ERROR(
+          disk_->WriteRun(area, frames_[slots[k]].page, end - k, srcs));
     }
-    for (uint32_t k = 0; k < count; ++k) {
-      frames_[slots[k]].dirty = false;
-    }
-    i = j;
+    for (uint32_t r = k; r < end; ++r) frames_[slots[r]].dirty = false;
+    k = end;
   }
   return Status::OK();
 }
@@ -605,10 +619,11 @@ Status BufferPool::FlushAll() {
 
 Status BufferPool::Invalidate(AreaId area, PageId first, uint32_t n_pages) {
   disk_->CheckOwner("BufferPool::Invalidate");
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    int s = FindSlot(area, first + i);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
+  ScratchMark sm(&scratch_);
+  uint32_t* slots = scratch_.AllocArray<uint32_t>(frames_.size());
+  const uint32_t cached = FramesInRange(area, first, n_pages, slots);
+  for (uint32_t k = 0; k < cached; ++k) {
+    Frame& f = frames_[slots[k]];
     if (f.pins != 0) return Status::Internal("invalidating pinned page");
     map_.Erase(Key(f.area, f.page));
     f.valid = false;

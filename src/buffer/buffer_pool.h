@@ -285,6 +285,20 @@ class BufferPool {
 
   int FindSlot(AreaId area, PageId page) const;
 
+  /// Writes to `out` (room for one entry per frame) the slots of the
+  /// frames caching a page of [first, first + n_pages) of `area`, in
+  /// ascending page order, and returns their number. A range longer than
+  /// the pool is served by one pass over the frames, not a lookup per
+  /// page: it can span thousands of pages, the pool holds a dozen.
+  uint32_t FramesInRange(AreaId area, PageId first, uint32_t n_pages,
+                         uint32_t* out) const;
+
+  /// Points the cached frames of the freshly written pages [first, first
+  /// + n) at their new images `imgs` (borrowing or copying per
+  /// pool_zero_copy), marking them clean.
+  void RefreshFrames(AreaId area, PageId first, uint32_t n,
+                     const MutPageRef* imgs);
+
   /// Picks a victim frame (unpinned; clean preferred, then LRU), writing a
   /// dirty victim back. Returns slot or error if everything is pinned.
   [[nodiscard]] StatusOr<uint32_t> GetFreeSlot();

@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 #include "common/logging.h"
 #include "obs/obs_registry.h"
 #include "trace/trace_session.h"
@@ -26,8 +33,76 @@ std::string IoStats::ToString() const {
   return buf;
 }
 
+namespace {
+
+/// Released arena chunks of one size, kept for reuse by the disks this
+/// thread builds next. A benchmark repetition or bench cell destroys a
+/// disk and builds a like-sized one; taking the chunks back from this
+/// list keeps the new disk off the allocator, whose trimming would
+/// otherwise return the memory and page-fault it in again. The list holds
+/// no more than the disks destroyed on this thread used, and it is freed
+/// when the thread exits.
+class ChunkCache {
+ public:
+  ChunkCache() = default;
+  ChunkCache(const ChunkCache&) = delete;
+  ChunkCache& operator=(const ChunkCache&) = delete;
+  ~ChunkCache() { Clear(); }
+
+  /// A chunk of `bytes` uninitialized bytes.
+  char* Acquire(size_t bytes) {
+    if (bytes != bytes_ || free_.empty()) return new char[bytes];
+    char* chunk = free_.back();
+    free_.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(chunk, bytes);
+    return chunk;
+  }
+
+  /// Takes back a chunk of `bytes` (from Acquire). The list holds one
+  /// size: chunks of another size held so far are freed.
+  void Release(char* chunk, size_t bytes) {
+    if (bytes != bytes_) {
+      Clear();
+      bytes_ = bytes;
+    }
+    // Poisoned while held, so AddressSanitizer still reports a page view
+    // that outlives its disk.
+    ASAN_POISON_MEMORY_REGION(chunk, bytes);
+    free_.push_back(chunk);
+  }
+
+ private:
+  void Clear() {
+    for (char* chunk : free_) {
+      ASAN_UNPOISON_MEMORY_REGION(chunk, bytes_);
+      delete[] chunk;
+    }
+    free_.clear();
+  }
+
+  size_t bytes_ = 0;
+  std::vector<char*> free_;
+};
+
+ChunkCache& LocalChunkCache() {
+  thread_local ChunkCache cache;
+  return cache;
+}
+
+}  // namespace
+
 SimDisk::SimDisk(const StorageConfig& config) : config_(config) {
   LOB_CHECK_GT(config_.page_size, 0u);
+}
+
+SimDisk::~SimDisk() {
+  const size_t chunk_bytes = size_t{kChunkPages} * config_.page_size;
+  ChunkCache& cache = LocalChunkCache();
+  for (Area& area : areas_) {
+    for (char* chunk : area.chunks) {
+      if (chunk != nullptr) cache.Release(chunk, chunk_bytes);
+    }
+  }
 }
 
 AreaId SimDisk::CreateArea() {
@@ -202,25 +277,33 @@ Status SimDisk::CheckRange(AreaId area, PageId first, uint32_t n_pages) const {
   return Status::OK();
 }
 
-char* SimDisk::PageData(Area& area, PageId page, bool create) {
-  if (page >= area.pages.size()) {
-    if (!create) return nullptr;
-    if (page >= area.pages.capacity()) {
-      // Geometric growth: append-heavy workloads extend the area one page
-      // at a time, and per-element reallocation is quadratic on standard
-      // libraries that only guarantee amortized growth for push_back.
-      area.pages.reserve(
-          std::max<size_t>(size_t{page} + 1, area.pages.capacity() * 2));
-    }
-    area.pages.resize(page + 1);
+template <typename Fn>
+void SimDisk::ForEachChunkRun(PageId first, uint32_t n_pages, const Fn& fn) {
+  uint32_t done = 0;
+  while (done < n_pages) {
+    const PageId page = first + done;
+    const uint32_t run =
+        std::min(n_pages - done, kChunkPages - page % kChunkPages);
+    fn(page, run);
+    done += run;
   }
-  auto& slot = area.pages[page];
-  if (slot == nullptr) {
-    if (!create) return nullptr;
-    slot = std::make_unique<char[]>(config_.page_size);
-    std::memset(slot.get(), 0, config_.page_size);
+}
+
+char* SimDisk::WritableRun(Area& area, PageId page, uint32_t run) {
+  const size_t chunk = page / kChunkPages;
+  if (chunk >= area.chunks.size()) {
+    area.chunks.resize(chunk + 1, nullptr);
+    area.written.resize((area.chunks.size() * kChunkPages + 63) / 64, 0);
   }
-  return slot.get();
+  if (area.chunks[chunk] == nullptr) {
+    area.chunks[chunk] = LocalChunkCache().Acquire(size_t{kChunkPages} *
+                                                   config_.page_size);
+  }
+  for (PageId p = page; p < page + run; ++p) {
+    area.written[p / 64] |= uint64_t{1} << (p % 64);
+  }
+  area.high_water = std::max(area.high_water, page + run);
+  return PageImage(area, page);
 }
 
 template <typename SpanAt>
@@ -231,11 +314,12 @@ void SimDisk::GatherCopy(AreaId area, PageId first, uint32_t n_pages,
   Area& a = areas_[area];
   size_t s = 0;  // index of the current span
   ByteSpan span = n_spans > 0 ? span_at(0) : ByteSpan{};  // its unread rest
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    char* dst = PageData(a, first + i, /*create=*/true);
+  ForEachChunkRun(first, n_pages, [&](PageId page, uint32_t run) {
+    char* dst = WritableRun(a, page, run);
+    const uint64_t len = uint64_t{run} * P;
     uint64_t filled = 0;
-    while (filled < P && s < n_spans) {
-      const uint64_t take = std::min(span.size, P - filled);
+    while (filled < len && s < n_spans) {
+      const uint64_t take = std::min(span.size, len - filled);
       if (span.data == nullptr) {
         std::memset(dst + filled, 0, take);
       } else {
@@ -248,26 +332,40 @@ void SimDisk::GatherCopy(AreaId area, PageId first, uint32_t n_pages,
       span.size -= take;
       if (span.size == 0 && ++s < n_spans) span = span_at(s);
     }
-    if (filled < P) std::memset(dst + filled, 0, P - filled);
-    if (imgs != nullptr) imgs[i].data = dst;
-  }
+    if (filled < len) std::memset(dst + filled, 0, len - filled);
+    if (imgs != nullptr) {
+      for (uint32_t i = 0; i < run; ++i) {
+        imgs[page - first + i].data = dst + i * P;
+      }
+    }
+  });
 }
 
 Status SimDisk::Read(AreaId area, PageId first, uint32_t n_pages, void* dst) {
   CheckOwner("SimDisk::Read");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
+  const uint64_t P = config_.page_size;
   char* out = static_cast<char*>(dst);
-  Area& a = areas_[area];
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    const char* src = PageData(a, first + i, /*create=*/false);
-    if (src == nullptr) {
-      std::memset(out, 0, config_.page_size);
-    } else {
-      std::memcpy(out, src, config_.page_size);
+  const Area& a = areas_[area];
+  // Copies each maximal stretch of written pages of a chunk with one
+  // memcpy and zero-fills each stretch of never-written pages.
+  ForEachChunkRun(first, n_pages, [&](PageId page, uint32_t run) {
+    uint32_t i = 0;
+    while (i < run) {
+      const bool written = IsWritten(a, page + i);
+      uint32_t j = i + 1;
+      while (j < run && IsWritten(a, page + j) == written) ++j;
+      const uint64_t len = uint64_t{j - i} * P;
+      if (written) {
+        std::memcpy(out, PageImage(a, page + i), len);
+      } else {
+        std::memset(out, 0, len);
+      }
+      out += len;
+      i = j;
     }
-    out += config_.page_size;
-  }
+  });
   AccountCall(/*is_read=*/true, n_pages);
   return Status::OK();
 }
@@ -289,9 +387,9 @@ Status SimDisk::ReadRun(AreaId area, PageId first, uint32_t n_pages,
   CheckOwner("SimDisk::ReadRun");
   LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
   LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
-  Area& a = areas_[area];
+  const Area& a = areas_[area];
   for (uint32_t i = 0; i < n_pages; ++i) {
-    refs[i].data = PageData(a, first + i, /*create=*/false);
+    refs[i].data = IsWritten(a, first + i) ? PageImage(a, first + i) : nullptr;
   }
   AccountCall(/*is_read=*/true, n_pages);
   return Status::OK();
@@ -331,13 +429,12 @@ Status SimDisk::WriteSpans(AreaId area, PageId first, const ByteSpan* spans,
 const char* SimDisk::PeekPage(AreaId area, PageId page) const {
   if (area >= areas_.size()) return nullptr;
   const Area& a = areas_[area];
-  if (page >= a.pages.size() || a.pages[page] == nullptr) return nullptr;
-  return a.pages[page].get();
+  return IsWritten(a, page) ? PageImage(a, page) : nullptr;
 }
 
 PageId SimDisk::AreaHighWater(AreaId area) const {
   if (area >= areas_.size()) return 0;
-  return static_cast<PageId>(areas_[area].pages.size());
+  return areas_[area].high_water;
 }
 
 }  // namespace lob

@@ -12,6 +12,10 @@
 // that need scattered pages issue multiple calls (and pay multiple seeks),
 // exactly as the simulated systems would on a real device.
 //
+// Each area keeps its page images in an arena of fixed-size chunks of
+// contiguous pages that never move (see Area), so a run of adjacent pages
+// is mostly adjacent in host memory too and moves with a few memcpys.
+//
 // Threading: a SimDisk and the StorageSystem built on it are used by one
 // thread; see CheckOwner.
 
@@ -20,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/config.h"
@@ -49,7 +52,9 @@ constexpr PageId kInvalidPage = UINT32_MAX;
 /// Stability contract: page images never move or disappear for the life of
 /// the disk, so the pointer stays valid indefinitely. The bytes are the
 /// *live* image — a later Write to the page shows through the view. A null
-/// `data` means the page was never written and reads as zeros.
+/// `data` means the page was never written and reads as zeros. Images of
+/// pages in the same arena chunk (see SimDisk) are adjacent in memory, so
+/// views of consecutive pages often continue one another.
 struct PageRef {
   const char* data = nullptr;
 };
@@ -74,6 +79,7 @@ struct ByteSpan {
 class SimDisk {
  public:
   explicit SimDisk(const StorageConfig& config);
+  ~SimDisk();
 
   SimDisk(const SimDisk&) = delete;
   SimDisk& operator=(const SimDisk&) = delete;
@@ -298,9 +304,23 @@ class SimDisk {
   }
 
  private:
+  /// Pages per arena chunk. A 64 KB chunk already turns a 512 KB run into
+  /// eight memcpys; 64- and 256-page chunks measured no faster on the
+  /// Starburst tail move (CHANGES.md) and waste more on sparse areas.
+  static constexpr uint32_t kChunkPages = 16;
+
+  /// One area's page store: a page arena of fixed-size chunks, each
+  /// holding kChunkPages contiguous page images, plus one bit per page
+  /// that is set once the page is first written. Chunk c holds pages
+  /// [c * kChunkPages, (c + 1) * kChunkPages); it is allocated when one of
+  /// them is first written and never moves or shrinks until the disk is
+  /// destroyed, which is what makes borrowed views stable. A page whose
+  /// bit is clear reads as zeros whatever its chunk bytes hold: chunks
+  /// are recycled from destroyed disks without being cleared.
   struct Area {
-    // Lazily allocated page images; a null entry reads as zeros.
-    std::vector<std::unique_ptr<char[]>> pages;
+    std::vector<char*> chunks;     ///< null until a page in it is written
+    std::vector<uint64_t> written; ///< bit p: page p has been written
+    PageId high_water = 0;         ///< highest written page + 1
   };
 
   /// One armed fault: the spec plus its progress counters.
@@ -313,13 +333,33 @@ class SimDisk {
 
   [[nodiscard]]
   Status CheckRange(AreaId area, PageId first, uint32_t n_pages) const;
-  char* PageData(Area& area, PageId page, bool create);
+
+  static bool IsWritten(const Area& area, PageId page) {
+    return page < area.high_water &&
+           (area.written[page / 64] >> (page % 64) & 1) != 0;
+  }
+
+  /// Image of `page` (its chunk must exist).
+  char* PageImage(const Area& area, PageId page) const {
+    return area.chunks[page / kChunkPages] +
+           uint64_t{page % kChunkPages} * config_.page_size;
+  }
+
+  /// Calls fn(page, run) for the consecutive pieces of [first, first +
+  /// n_pages) that each lie in one chunk, so each is contiguous memory.
+  template <typename Fn>
+  static void ForEachChunkRun(PageId first, uint32_t n_pages, const Fn& fn);
+
+  /// Image of the first of `run` pages in one chunk, about to be written
+  /// in full: allocates the chunk if needed and marks the pages written.
+  char* WritableRun(Area& area, PageId page, uint32_t run);
 
   /// The one gather-copy loop behind Write, WriteRun and WriteSpans: fills
   /// pages [first, first + n_pages) of `area` with the byte stream
-  /// span_at(0) .. span_at(n_spans - 1), zero-filling past its end. A
-  /// piece that already sits at its destination (a borrowed self-view) is
-  /// not copied. Runs after the call passed its range and fault checks.
+  /// span_at(0) .. span_at(n_spans - 1), zero-filling past its end, one
+  /// chunk run at a time. A piece that already sits at its destination (a
+  /// borrowed self-view) is not copied. Runs after the call passed its
+  /// range and fault checks.
   template <typename SpanAt>
   void GatherCopy(AreaId area, PageId first, uint32_t n_pages,
                   size_t n_spans, const SpanAt& span_at, MutPageRef* imgs);

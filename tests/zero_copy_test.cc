@@ -379,19 +379,22 @@ TEST(BufferPoolView, MiddlePagesBorrowedBoundaryBytesStaged) {
   SpanList view;
   ASSERT_TRUE(
       rig.pool.ViewSegmentRange(rig.area, 0, 16 * P, 100, 6 * P, &view).ok());
-  // Partial page 0, whole pages 1..5, partial page 6.
-  ASSERT_EQ(view.count(), 7u);
+  // Partial page 0, whole pages 1..5, partial page 6. Pages 1..5 share an
+  // arena chunk, so their images are adjacent and borrow as one span.
+  ASSERT_EQ(view.count(), 3u);
   const ByteSpan* s = view.spans();
+  EXPECT_EQ(s[1].data, rig.disk.PeekPage(rig.area, 1));
+  EXPECT_EQ(s[1].size, 5 * P);
   for (PageId p = 1; p <= 5; ++p) {
-    EXPECT_EQ(s[p].data, rig.disk.PeekPage(rig.area, p)) << "page " << p;
-    EXPECT_EQ(s[p].size, P);
+    EXPECT_EQ(s[1].data + (p - 1) * P, rig.disk.PeekPage(rig.area, p))
+        << "page " << p;
   }
   // Boundary bytes are copies: neither the disk image nor a pool frame,
   // both of which may change or go away later in the operation.
   EXPECT_NE(s[0].data, rig.disk.PeekPage(rig.area, 0) + 100);
-  EXPECT_NE(s[6].data, rig.disk.PeekPage(rig.area, 6));
+  EXPECT_NE(s[2].data, rig.disk.PeekPage(rig.area, 6));
   EXPECT_EQ(s[0].size, P - 100);
-  EXPECT_EQ(s[6].size, 100u);
+  EXPECT_EQ(s[2].size, 100u);
   // Evicting and invalidating the boundary frames leaves the view intact.
   const std::string before = Flatten(view);
   ASSERT_TRUE(rig.pool.Invalidate(rig.area, 0, 16).ok());
@@ -593,6 +596,134 @@ TEST(BufferPoolZeroCopy, DifferentialZeroCopyOnOff) {
       continue;
     }
     EXPECT_EQ(0, std::memcmp(img_on, img_off, on.page_size)) << "page " << p;
+  }
+}
+
+// Coherence of the pool with direct I/O over ranges longer than the pool:
+// ViewSegmentRange writes back the dirty frames among its middle pages in
+// ascending page order, WriteFreshSegment refreshes the frames it covers,
+// and Invalidate drops the covered frames in page order up to a pinned
+// one. Frames are fixed out of page order so slot order differs from page
+// order, with dirty and borrowed frames inside and outside each range.
+// Both pool modes must produce the expected bytes, calls and cached sets.
+TEST(BufferPoolZeroCopy, CoherenceOverRangesLongerThanThePool) {
+  for (const bool zero_copy : {true, false}) {
+    SCOPED_TRACE(zero_copy ? "zero-copy pool" : "copying pool");
+    StorageConfig cfg;
+    cfg.buffer_pool_pages = 6;
+    cfg.pool_zero_copy = zero_copy;
+    const uint64_t P = cfg.page_size;
+    SimDisk disk(cfg);
+    BufferPool pool(&disk, cfg);
+    const AreaId a = disk.CreateArea();
+    std::string image(24 * P, '\0');
+    for (size_t i = 0; i < image.size(); ++i) {
+      image[i] = static_cast<char>('A' + (i / P * 7 + i % P) % 50);
+    }
+    ASSERT_TRUE(disk.Write(a, 0, 24, image.data()).ok());
+    auto fix = [&](PageId p) {
+      auto g = pool.FixPage(a, p, FixMode::kRead);
+      LOB_CHECK_OK(g.status());
+      return std::move(*g);
+    };
+    auto dirty = [&](PageId p, char c) {
+      PageGuard g = fix(p);
+      std::memset(g.mutable_data() + 8, c, 16);
+      g.MarkDirty();
+    };
+    auto poke = [&](PageId p, char c) {  // what a written-back `dirty` does
+      std::memset(&image[p * P + 8], c, 16);
+    };
+    using CP = BufferPool::CachedPage;
+    auto io_since = [&](const IoStats& before) {
+      const IoStats d = IoStats::Delta(before, disk.stats());
+      return std::vector<uint64_t>{d.read_calls, d.pages_read, d.write_calls,
+                                   d.pages_written};
+    };
+
+    fix(2);  // borrowed (zero-copy) inside the view's middle pages
+    dirty(9, 'p');
+    dirty(5, 'x');
+    dirty(7, 'y');
+    dirty(20, 'z');  // dirty outside every range below
+    fix(22);         // clean outside every range below
+
+    // A fault on page 7's write-back stops the view after page 5's and
+    // before page 9's: the dirty pages go out in ascending page order.
+    FaultSpec on7;
+    on7.match_reads = false;
+    on7.match_range = true;
+    on7.area = a;
+    on7.first_page = 7;
+    on7.last_page = 7;
+    disk.ArmFault(on7);
+    IoStats before = disk.stats();
+    SpanList failed;
+    EXPECT_FALSE(
+        pool.ViewSegmentRange(a, 0, 24 * P, 100, 12 * P, &failed).ok());
+    EXPECT_FALSE(pool.IsDirty(a, 5));
+    EXPECT_TRUE(pool.IsDirty(a, 7));
+    EXPECT_TRUE(pool.IsDirty(a, 9));
+    EXPECT_EQ(io_since(before), (std::vector<uint64_t>{1, 1, 1, 1}));
+    poke(5, 'x');
+
+    before = disk.stats();
+    SpanList view;
+    ASSERT_TRUE(pool.ViewSegmentRange(a, 0, 24 * P, 100, 12 * P, &view).ok());
+    poke(7, 'y');
+    poke(9, 'p');
+    EXPECT_EQ(Flatten(view), image.substr(100, 12 * P));
+    EXPECT_EQ(io_since(before), (std::vector<uint64_t>{2, 12, 2, 2}));
+    EXPECT_EQ(pool.CachedPagesSorted(),
+              (std::vector<CP>{{a, 0, false}, {a, 5, false}, {a, 7, false},
+                               {a, 12, false}, {a, 20, true},
+                               {a, 22, false}}));
+
+    // A fresh segment over pages 4..13 refreshes the cached 5 (dirty
+    // again), 7 and 12 and leaves the frames outside alone.
+    dirty(5, 'q');
+    std::string fresh(10 * P - 7, '\0');
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      fresh[i] = static_cast<char>('0' + (i * 13) % 64);
+    }
+    before = disk.stats();
+    ASSERT_TRUE(pool.WriteFreshSegment(a, 4, fresh.data(), fresh.size()).ok());
+    EXPECT_EQ(io_since(before), (std::vector<uint64_t>{0, 0, 1, 10}));
+    image.replace(4 * P, 10 * P, fresh + std::string(7, '\0'));
+    EXPECT_EQ(pool.CachedPagesSorted(),
+              (std::vector<CP>{{a, 0, false}, {a, 5, false}, {a, 7, false},
+                               {a, 12, false}, {a, 20, true},
+                               {a, 22, false}}));
+    for (PageId p : {5u, 7u, 12u}) {
+      EXPECT_EQ(std::string(fix(p).data(), P), image.substr(p * P, P))
+          << "page " << p;
+    }
+
+    // Invalidating pages 3..17 drops 5 and the dirty 7 unwritten, then
+    // stops at the pinned 12; once unpinned, 12 goes too.
+    dirty(7, 'r');
+    before = disk.stats();
+    {
+      PageGuard pin = fix(12);
+      EXPECT_EQ(pool.Invalidate(a, 3, 15).code(), StatusCode::kInternal);
+    }
+    EXPECT_EQ(pool.CachedPagesSorted(),
+              (std::vector<CP>{{a, 0, false}, {a, 12, false}, {a, 20, true},
+                               {a, 22, false}}));
+    ASSERT_TRUE(pool.Invalidate(a, 3, 15).ok());
+    EXPECT_EQ(pool.CachedPagesSorted(),
+              (std::vector<CP>{{a, 0, false}, {a, 20, true}, {a, 22, false}}));
+    EXPECT_EQ(io_since(before), (std::vector<uint64_t>{0, 0, 0, 0}));
+
+    ASSERT_TRUE(pool.FlushAll().ok());
+    poke(20, 'z');
+    for (PageId p = 0; p < 24; ++p) {
+      ASSERT_NE(disk.PeekPage(a, p), nullptr);
+      EXPECT_EQ(std::string(disk.PeekPage(a, p), P), image.substr(p * P, P))
+          << "page " << p;
+    }
+    EXPECT_EQ(disk.stats().read_calls, 9u);
+    EXPECT_EQ(disk.stats().write_calls, 6u);
   }
 }
 

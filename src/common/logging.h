@@ -22,10 +22,7 @@ namespace lob::internal {
 /// bench cell per worker thread, and interleaved fprintf fragments from
 /// concurrent warnings would be unreadable (and flagged by TSan on some
 /// libc builds). Implemented in logging.cc behind an annotated
-/// lob::Mutex at LockRank::kLogSink — the innermost rank, so a warning
-/// can be emitted while holding any other lock in the tree. (This header
-/// deliberately does not include lock_order.h: lock_order.h uses
-/// LOB_CHECK-style aborts, so the sink mutex lives out of line.)
+/// lob::Mutex, which this header keeps out of line.
 #if defined(__GNUC__)
 __attribute__((format(printf, 3, 4)))
 #endif

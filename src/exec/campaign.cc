@@ -6,9 +6,8 @@
 #include <memory>
 
 #include "check/fsck.h"
-#include "common/lock_order.h"
 #include "common/logging.h"
-#include "common/thread_annotations.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "core/factory.h"
 #include "exec/parallel_runner.h"
@@ -257,11 +256,10 @@ StatusOr<CampaignResult> RunCampaign(const Trace& trace,
   ThreadPool pool(options.jobs == 0 ? 1 : options.jobs);
   ParallelRunner runner(&pool);
   // Opt-in progress meter: the one piece of state the cell workers share.
-  // Guarded by an annotated Mutex at LockRank::kCampaign; cells hold no
-  // other lock when they finish, so the rank never composes with the
-  // storage-layer ranks inside RunCell (each cell owns a private system).
+  // Guarded by an annotated Mutex; each cell owns a private system, so no
+  // other lock is held when a cell finishes.
   struct Progress {
-    Mutex mu{LockRank::kCampaign};
+    Mutex mu;
     size_t done LOB_GUARDED_BY(mu) = 0;
   } progress;
   const size_t total = points.size();

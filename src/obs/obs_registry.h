@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "iomodel/io_stats.h"
 
@@ -39,10 +38,6 @@ namespace lob {
 class Histogram {
  public:
   static constexpr int kBuckets = 34;  // 0 plus exponents up to 2^32 and over
-  /// Linear sub-buckets per log2 bucket in the opt-in high-resolution
-  /// mode (EnableSubBuckets); tightens quantile interpolation error from
-  /// ~bucket-width to ~bucket-width/16.
-  static constexpr int kSubBuckets = 16;
 
   void Add(uint64_t value);
 
@@ -57,25 +52,15 @@ class Histogram {
   }
   uint64_t bucket(int i) const { return buckets_[i]; }
 
-  /// Opts this histogram into fixed-resolution sub-bucket tracking
-  /// (kSubBuckets linear sub-buckets per log2 bucket). Must be called
-  /// before the first sample; a late call is ignored so existing samples
-  /// can never be inconsistent with the sub-bucket table.
-  void EnableSubBuckets();
-  bool sub_buckets_enabled() const { return !sub_.empty(); }
-
   /// Interpolated quantile, q in [0, 1] (clamped). Uses the continuous
   /// rank q*(count-1); interpolates linearly inside the containing log2
-  /// bucket (or linear sub-bucket when enabled) and clamps the result to
-  /// [min, max], so q=0, q=1 and single-sample histograms are exact.
+  /// bucket and clamps the result to [min, max], so q=0, q=1 and
+  /// single-sample histograms are exact.
   /// Returns 0 on an empty histogram. Deterministic: pure integer/IEEE
   /// arithmetic over the bucket table.
   double Quantile(double q) const;
 
-  /// Adds every sample of `other` into this histogram. Sub-bucket
-  /// resolution survives the merge only when both sides carry it (or one
-  /// side is empty); a coarse-only side degrades the merged histogram to
-  /// log2 resolution.
+  /// Adds every sample of `other` into this histogram.
   void MergeFrom(const Histogram& other);
 
   /// Bucket a value falls into.
@@ -90,8 +75,6 @@ class Histogram {
   uint64_t sum_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
-  /// kBuckets * kSubBuckets linear sub-bucket counts; empty = disabled.
-  std::vector<uint64_t> sub_;
 };
 
 /// Named counters, histograms and the per-operation I/O ledger. Like the
@@ -109,13 +92,6 @@ class ObsRegistry {
 
   /// Named monotonic counter (created on first use).
   uint64_t& Counter(const std::string& name) { return counters_[name]; }
-
-  /// When set, per-op `.ms` histograms created from here on opt into
-  /// fixed-resolution sub-buckets (see Histogram::EnableSubBuckets) for
-  /// tighter tail quantiles. Off by default: 34*16 extra counters per
-  /// label are only worth it when percentile precision matters.
-  void set_high_res_op_histograms(bool v) { high_res_ops_ = v; }
-  bool high_res_op_histograms() const { return high_res_ops_; }
 
   /// Named histogram (created on first use).
   Histogram& Histo(const std::string& name) { return histograms_[name]; }
@@ -203,7 +179,6 @@ class ObsRegistry {
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, OpEndEntry, std::less<>> op_end_memo_;
   uint64_t attr_gen_ = 0;
-  bool high_res_ops_ = false;
 };
 
 }  // namespace lob

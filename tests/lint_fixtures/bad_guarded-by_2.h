@@ -5,22 +5,22 @@
 // of `void()` belong to the type, not to a method declaration, so the
 // missing LOB_GUARDED_BY must still be reported.
 
-#ifndef LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_4_H_
-#define LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_4_H_
+#ifndef LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_2_H_
+#define LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_2_H_
 
 #include <deque>
 #include <functional>
 
-#include "common/lock_order.h"
+#include "common/mutex.h"
 
 namespace lob {
 
 class BadQueue {
  private:
-  Mutex mu_{LockRank::kThreadPool};
+  Mutex mu_;
   std::deque<std::function<void()>> queue_;  // BAD: no LOB_GUARDED_BY
 };
 
 }  // namespace lob
 
-#endif  // LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_4_H_
+#endif  // LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_2_H_

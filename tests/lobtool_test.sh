@@ -95,23 +95,6 @@ rc=$?
 set -e
 [ "$rc" -eq 2 ] || fail "bench-diff bad input should exit 2 (got $rc)"
 
-# locks: the rank-table dump must list every registered lock in strictly
-# ascending rank order and stay in sync with common/lock_order.h. Only
-# cross-thread state is ranked; storage, obs and trace state is confined
-# to one thread (common/thread_owner.h) and must not reappear.
-"$LOBTOOL" locks > "$DIR/locks.txt" || fail "locks exit"
-for id in exec.thread_pool exec.campaign common.log_sink; do
-  grep -q "$id" "$DIR/locks.txt" || fail "locks table missing $id"
-done
-[ "$(tail -n +2 "$DIR/locks.txt" | grep -c .)" -eq 3 ] ||
-  fail "locks table should have exactly 3 rows"
-for id in buffer.pool lobtree.positional buddy.directory obs.registry \
-          trace.session trace.timeline; do
-  grep -q "$id" "$DIR/locks.txt" && fail "locks table still lists $id"
-done
-awk 'NR > 1 { if ($2 + 0 <= prev) exit 1; prev = $2 + 0 }' \
-  "$DIR/locks.txt" || fail "locks ranks not strictly increasing"
-
 "$LOBTOOL" "$DB" rm idx >/dev/null || fail "rm"
 "$LOBTOOL" "$DB" info | grep -q 'objects: *2' || fail "info after rm"
 

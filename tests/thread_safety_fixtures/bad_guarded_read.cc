@@ -1,8 +1,7 @@
 // Reads a LOB_GUARDED_BY member without holding its mutex: GCC compiles
 // this (annotations are no-ops), Clang -Wthread-safety must reject it.
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
+#include "common/mutex.h"
 
 namespace lob {
 
@@ -13,7 +12,7 @@ class BadGuardedRead {
   int total() const { return total_; }
 
  private:
-  mutable Mutex mu_{LockRank::kCampaign};
+  mutable Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

@@ -2,8 +2,7 @@
 // analysis must reject the function for failing to release `mu_` (and for
 // the inconsistent lock state across the early return).
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
+#include "common/mutex.h"
 
 namespace lob {
 
@@ -17,7 +16,7 @@ class BadMissingRelease {
   }
 
  private:
-  Mutex mu_{LockRank::kCampaign};
+  Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

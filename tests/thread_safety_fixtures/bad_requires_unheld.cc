@@ -1,8 +1,7 @@
 // Calls an LOB_REQUIRES(mu_) method without holding the lock: Clang must
 // reject the call site ("calling function ... requires holding mutex").
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
+#include "common/mutex.h"
 
 namespace lob {
 
@@ -15,7 +14,7 @@ class BadRequiresUnheld {
   }
 
  private:
-  Mutex mu_{LockRank::kCampaign};
+  Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

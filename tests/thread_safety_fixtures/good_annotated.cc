@@ -2,8 +2,7 @@
 // clang++ -Wthread-safety -Werror=thread-safety. This is the reference
 // shape every mutex-holding class in the tree follows.
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
+#include "common/mutex.h"
 
 namespace lob {
 
@@ -27,7 +26,7 @@ class Annotated {
   }
 
  private:
-  mutable Mutex mu_{LockRank::kCampaign};
+  mutable Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

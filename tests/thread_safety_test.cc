@@ -1,10 +1,9 @@
 // Tests for the threading contracts: a database is confined to one thread
 // (common/thread_owner.h — a second thread aborts, a ParallelRunner job
-// that owns its database passes), and the ranked synchronization layer
-// (common/lock_order.h) that guards the state really shared across
-// threads: the rank table is a contract, out-of-order acquisition aborts
-// (death tests), CondVar keeps the held-rank stack consistent across
-// waits, and LOB_LOG_WARN lines stay untorn under concurrency.
+// that owns its database passes), and the annotated primitives
+// (common/mutex.h) that guard the state really shared across threads:
+// a CondVar handshake completes, LOB_LOG_WARN lines stay untorn under
+// concurrency, and the ThreadPool shutdown contract aborts loudly.
 //
 // The death tests put this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
@@ -18,14 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/lock_order.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "core/factory.h"
 #include "core/storage_system.h"
 #include "exec/parallel_runner.h"
@@ -34,83 +31,10 @@
 namespace lob {
 namespace {
 
-// ------------------------------------------------------------- rank table
-
-TEST(LockRankTableTest, OnlyCrossThreadStateIsRanked) {
-  // Storage, obs and trace state is thread-confined and carries no rank;
-  // the table holds exactly the locks that really are shared.
-  std::vector<std::string> ids;
-  for (const LockRankRow& row : kLockRankRows) ids.emplace_back(row.id);
-  EXPECT_EQ(ids, (std::vector<std::string>{
-                     "exec.thread_pool", "exec.campaign", "common.log_sink"}));
-}
-
-TEST(LockRankTableTest, RanksStrictlyIncreaseInTableOrder) {
-  int prev = -1;
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_GT(row.rank, prev)
-        << row.name << " breaks the ascending-rank table order";
-    prev = row.rank;
-  }
-}
-
-TEST(LockRankTableTest, IdsAndNamesAreUniqueAndNonEmpty) {
-  std::set<std::string> ids;
-  std::set<std::string> names;
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_NE(row.id[0], '\0');
-    EXPECT_NE(row.description[0], '\0');
-    EXPECT_TRUE(ids.insert(row.id).second) << "duplicate id " << row.id;
-    EXPECT_TRUE(names.insert(row.name).second)
-        << "duplicate enumerator " << row.name;
-  }
-}
-
-TEST(LockRankTableTest, LockRankNameResolvesEveryRow) {
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_STREQ(LockRankName(static_cast<LockRank>(row.rank)), row.id);
-  }
-  EXPECT_STREQ(LockRankName(static_cast<LockRank>(-12345)), "?");
-}
-
-// ------------------------------------------------------ in-order locking
-
-TEST(LockOrderTest, AscendingAcquisitionIsAllowed) {
-  Mutex outer{LockRank::kThreadPool};
-  Mutex inner{LockRank::kCampaign};
-  MutexLock a(&outer);
-  MutexLock b(&inner);  // 10 -> 20: strictly increasing, fine
-  outer.AssertHeld();
-  inner.AssertHeld();
-}
-
-TEST(LockOrderTest, ReacquireAfterReleaseIsAllowed) {
-  Mutex mu{LockRank::kCampaign};
-  { MutexLock lock(&mu); }
-  { MutexLock lock(&mu); }  // the stack popped; same rank is fine again
-}
-
-TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
-  // PopHeld scans from the top, so releasing the *outer* lock first (a
-  // legal hand-over-hand pattern) must not confuse the stack.
-  Mutex a{LockRank::kThreadPool};
-  Mutex b{LockRank::kCampaign};
-  a.Lock();
-  b.Lock();
-  a.Unlock();  // out of LIFO order
-  b.AssertHeld();
-  b.Unlock();
-}
-
-TEST(LockOrderTest, RankAccessorReturnsConstructionRank) {
-  Mutex mu{LockRank::kLogSink};
-  EXPECT_EQ(mu.rank(), LockRank::kLogSink);
-}
-
 // ------------------------------------------------------------ cond vars
 
-TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
-  Mutex mu{LockRank::kCampaign};
+TEST(CondVarTest, HandshakeSurvivesWait) {
+  Mutex mu;
   CondVar cv;
   bool ready = false;
   std::thread producer([&] {
@@ -121,58 +45,8 @@ TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
   {
     MutexLock lock(&mu);
     while (!ready) cv.Wait(&mu);
-    // The mutex is re-held after Wait; the rank stack must agree.
-    mu.AssertHeld();
-    // And the order checker must still see rank 20 as held: acquiring a
-    // lower rank here would abort, a higher one is fine.
-    Mutex inner{LockRank::kLogSink};
-    MutexLock i(&inner);
   }
   producer.join();
-}
-
-// ----------------------------------------------------------- death tests
-
-using LockOrderDeathTest = ::testing::Test;
-
-TEST(LockOrderDeathTest, DescendingAcquisitionAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer{LockRank::kCampaign};
-  Mutex inner{LockRank::kThreadPool};
-  EXPECT_DEATH(
-      {
-        MutexLock a(&outer);
-        MutexLock b(&inner);  // 20 -> 10: inversion
-      },
-      "lock-order violation: acquiring \"exec.thread_pool\" \\(rank 10\\) "
-      "while holding \"exec.campaign\" \\(rank 20\\)");
-}
-
-TEST(LockOrderDeathTest, EqualRankNestingAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex a{LockRank::kCampaign};
-  Mutex b{LockRank::kCampaign};
-  EXPECT_DEATH(
-      {
-        MutexLock la(&a);
-        MutexLock lb(&b);  // equal ranks may not nest
-      },
-      "lock-order violation");
-}
-
-TEST(LockOrderDeathTest, AssertHeldAbortsWhenNotHeld) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kCampaign};
-  EXPECT_DEATH(mu.AssertHeld(),
-               "Mutex::AssertHeld: \"exec.campaign\" \\(rank 20\\) is not "
-               "held by this thread");
-}
-
-TEST(LockOrderDeathTest, UnlockOfUnheldMutexAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kCampaign};
-  EXPECT_DEATH(mu.Unlock(),
-               "lock-order: unlock of a mutex this thread does not hold");
 }
 
 // ------------------------------------------------- thread confinement
@@ -306,26 +180,6 @@ TEST(LogSinkTest, ConcurrentWarnLinesAreUntorn) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(counts[t], kPerThread) << "thread " << t << " lost lines";
   }
-}
-
-TEST(LogSinkTest, WarnWhileHoldingEveryOtherRankIsLegal) {
-  // kLogSink is the innermost rank precisely so any subsystem can warn
-  // while holding its own lock; prove the composition for the deepest
-  // legal chain.
-  Mutex pool{LockRank::kThreadPool};
-  Mutex campaign{LockRank::kCampaign};
-  const std::string path = ::testing::TempDir() + "/lob_warn_nested.txt";
-  {
-    StderrCapture capture(path);
-    MutexLock a(&pool);
-    MutexLock b(&campaign);
-    LOB_LOG_WARN("warning under ranks 10+20");
-  }
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("warning under ranks 10+20"),
-            std::string::npos);
 }
 
 // -------------------------------------- ThreadPool shutdown contract

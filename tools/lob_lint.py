@@ -58,17 +58,13 @@ break them. Rules (stable IDs, see RULES below):
                           family, lock_guard/unique_lock/scoped_lock,
                           condition_variable, call_once) outside src/common/.
                           All locking goes through lob::Mutex / MutexLock /
-                          CondVar (common/lock_order.h) so every acquisition
-                          carries a LockRank, is order-checked at run time,
-                          and is visible to Clang -Wthread-safety.
-  LOB009 lock-rank        Every lob::Mutex declaration names its rank
-                          (LockRank::k...) from the table in
-                          common/lock_order.h, and mutable members of a
-                          mutex-holding class carry LOB_GUARDED_BY
-                          (const/static members, the mutex itself and
-                          CondVars are exempt; genuinely unguarded state
-                          needs a LOBLINT(lock-rank) suppression stating
-                          the confinement argument).
+                          CondVar (common/mutex.h) so every acquisition is
+                          visible to Clang -Wthread-safety.
+  LOB009 guarded-by       Mutable members of a lob::Mutex-holding scope
+                          carry LOB_GUARDED_BY (const/static members, the
+                          mutex itself and CondVars are exempt; genuinely
+                          unguarded state needs a LOBLINT(guarded-by)
+                          suppression stating the confinement argument).
 
 Suppressions
 ------------
@@ -102,7 +98,7 @@ RULES = {
     "ignore-status": "LOB006",
     "extent-guard": "LOB007",
     "raw-sync": "LOB008",
-    "lock-rank": "LOB009",
+    "guarded-by": "LOB009",
 }
 
 # ----------------------------------------------------------------- scoping
@@ -145,11 +141,11 @@ EXTENT_GUARD_SCOPE_PREFIXES = (
     "src/esm/", "src/starburst/", "src/eos/", "src/lobtree/", "src/core/")
 
 # Raw-sync scope: the library, bench and tool trees must lock through the
-# ranked lob::Mutex wrappers; src/common/ is where the wrappers live.
+# annotated lob::Mutex wrappers; src/common/ is where the wrappers live.
 RAW_SYNC_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
 RAW_SYNC_ALLOW_PREFIXES = ("src/common/",)
 
-LOCK_RANK_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
+GUARDED_BY_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
 
 SCAN_DIRS = ("src", "bench", "tools", "examples", "tests")
 SCAN_EXTS = (".h", ".cc", ".cpp")
@@ -543,9 +539,8 @@ def check_raw_sync(path, code, findings):
             findings.append(Finding(
                 path, idx, "raw-sync",
                 "raw std::%s outside src/common/; lock through lob::Mutex / "
-                "MutexLock / CondVar (common/lock_order.h) so the "
-                "acquisition carries a LockRank, is order-checked, and is "
-                "visible to Clang -Wthread-safety" % m.group(1)))
+                "MutexLock / CondVar (common/mutex.h) so the acquisition "
+                "is visible to Clang -Wthread-safety" % m.group(1)))
 
 
 # A lob Mutex variable declaration: type, name, then an initializer
@@ -585,29 +580,18 @@ def _line_start_depths(code):
     return depths
 
 
-def check_lock_rank(path, code, findings):
-    if not path.startswith(LOCK_RANK_SCOPE_PREFIXES):
+def check_guarded_by(path, code, findings):
+    if not path.startswith(GUARDED_BY_SCOPE_PREFIXES):
         return
     depths = _line_start_depths(code)
-    ranked_decl_lines = []
-    for idx, line in enumerate(code, start=1):
-        m = MUTEX_DECL_RE.search(line)
-        if not m:
-            continue
-        if "LockRank::" in line:
-            ranked_decl_lines.append(idx)
-        else:
-            findings.append(Finding(
-                path, idx, "lock-rank",
-                "Mutex '%s' declared without a LockRank; every lock names its "
-                "rank from the table in common/lock_order.h so acquisition "
-                "order is checkable" % m.group(1)))
+    decl_lines = [idx for idx, line in enumerate(code, start=1)
+                  if MUTEX_DECL_RE.search(line)]
 
     # Members of a mutex-holding scope must be guarded: shared mutable state
     # next to a lock is either protected by it (annotate LOB_GUARDED_BY) or
-    # confined by some other argument (suppress with LOBLINT(lock-rank)).
+    # confined by some other argument (suppress with LOBLINT(guarded-by)).
     flagged = set()
-    for decl_line in ranked_decl_lines:
+    for decl_line in decl_lines:
         d = depths[decl_line - 1]
         if d < 1:
             continue  # namespace/file scope: nothing to pair it with
@@ -632,10 +616,10 @@ def check_lock_rank(path, code, findings):
                 continue  # method signature / call, not a data member
             flagged.add(idx)
             findings.append(Finding(
-                path, idx, "lock-rank",
+                path, idx, "guarded-by",
                 "member '%s' in a mutex-holding scope lacks LOB_GUARDED_BY; "
                 "annotate which lock protects it (or justify confinement "
-                "with a LOBLINT(lock-rank) suppression)" % mm.group(1)))
+                "with a LOBLINT(guarded-by) suppression)" % mm.group(1)))
 
 
 # --------------------------------------------------------------- the driver
@@ -666,7 +650,7 @@ def lint_text(path, text):
     check_ignore_status(effective, code, comments, findings)
     check_extent_guard(effective, code, findings)
     check_raw_sync(effective, code, findings)
-    check_lock_rank(effective, code, findings)
+    check_guarded_by(effective, code, findings)
 
     # Apply suppressions.
     file_suppressed = set()

@@ -50,11 +50,6 @@
 //       thresholds (see scripts/perf_gates.json) and turns the report
 //       into a CI gate: exit 0 clean, 1 on gate violations, 2 on bad
 //       input. A run diffed against itself reports zero drift.
-//   lobtool locks
-//       dumps the lock-rank table (common/lock_order.h): enumerator,
-//       numeric rank, dotted id and what each lock protects. Ranks must
-//       be acquired in strictly increasing order; the table is the
-//       documented deadlock-freedom contract (docs/ARCHITECTURE.md).
 //
 // Every mutating command reopens the image, applies the change, and saves
 // it back - a deliberately simple single-shot model matching the
@@ -69,7 +64,6 @@
 
 #include "check/fsck.h"
 #include "common/json.h"
-#include "common/lock_order.h"
 #include "core/database.h"
 #include "core/factory.h"
 #include "core/metrics_snapshot.h"
@@ -98,8 +92,7 @@ int Usage() {
                "       lobtool flame <op-script> [esm|starburst|eos] "
                "[param] [--out=FILE]\n"
                "       lobtool bench-diff <baseline.json> <new.json> "
-               "[--gate=FILE] [--format=table|csv|json]\n"
-               "       lobtool locks\n");
+               "[--gate=FILE] [--format=table|csv|json]\n");
   return 2;
 }
 
@@ -328,21 +321,7 @@ int RunBenchDiff(int argc, char** argv) {
   return 0;
 }
 
-/// `lobtool locks`: dump the lock-rank table (common/lock_order.h). The
-/// table is a documented contract — docs/ARCHITECTURE.md "Lock-rank
-/// table" — and this is its runtime source of truth.
-int RunLocks() {
-  std::printf("%-14s %5s  %-18s %s\n", "enumerator", "rank", "id",
-              "protects");
-  for (const LockRankRow& row : kLockRankRows) {
-    std::printf("%-14s %5d  %-18s %s\n", row.name, row.rank, row.id,
-                row.description);
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "locks") return RunLocks();
   if (argc < 3) return Usage();
   const std::string image = argv[1];
   const std::string cmd = argv[2];

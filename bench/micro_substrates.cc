@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 
 #include "bench_common.h"
@@ -21,6 +22,7 @@
 #include "common/logging.h"
 #include "buffer/op_context.h"
 #include "core/factory.h"
+#include "core/object_catalog.h"
 #include "core/storage_system.h"
 #include "lobtree/positional_tree.h"
 #include "workload/workload.h"
@@ -157,6 +159,29 @@ void BM_EndToEndRead10K(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndRead10K);
+
+// Catalog name lookup: 512 `obj%06d` bindings fill a two-page chain (the
+// head page holds the first 291). hit=1 looks up a name near the end of
+// the head page, hit=0 a name that is not bound, so both pages are
+// probed.
+void BM_CatalogLookup(benchmark::State& state) {
+  StorageSystem sys;
+  ObjectCatalog cat(&sys);
+  LOB_CHECK_OK(cat.Create().status());
+  char name[16];
+  for (int i = 0; i < 512; ++i) {
+    std::snprintf(name, sizeof name, "obj%06d", i);
+    LOB_CHECK_OK(cat.Put(name, static_cast<ObjectId>(i + 1)));
+  }
+  const auto pages = cat.Pages();
+  LOB_CHECK(pages.ok() && pages->size() == 2);
+  const std::string key = state.range(0) != 0 ? "obj000280" : "obj999999";
+  for (auto _ : state) {
+    auto id = cat.Get(key);
+    benchmark::DoNotOptimize(id.ok());
+  }
+}
+BENCHMARK(BM_CatalogLookup)->ArgName("hit")->Arg(1)->Arg(0);
 
 // One cell-throughput workload cell: quick-scale build (2 MB object via
 // 100K appends) plus the paper's 40/30/30 update mix (2000 ops). This is

@@ -378,7 +378,22 @@ void PokeMetaPage(StorageSystem* sys, PageId page,
   ASSERT_TRUE(sys->pool()->FlushRun(sys->meta_area()->id(), page, 1).ok());
 }
 
-TEST(ObjectCatalogTest, CorruptChainIsCorruptionFromEveryCall) {
+// Looks up every bound name through `lookup`, so that each chain page has
+// been scanned whole and memoized before a damage is applied.
+void LookUpEveryName(ObjectCatalog* cat,
+                     const std::function<StatusOr<ObjectId>(std::string)>&
+                         lookup) {
+  auto list = cat->List();
+  ASSERT_TRUE(list.ok());
+  for (const auto& [name, id] : *list) {
+    auto got = lookup(name);
+    ASSERT_TRUE(got.ok()) << name;
+    EXPECT_EQ(*got, id) << name;
+  }
+}
+
+// With `warm`, every name is looked up before the damage.
+void ExpectCorruptionFromEveryCall(bool warm) {
   for (const CatalogDamage& d : CatalogDamages()) {
     SCOPED_TRACE(d.what);
     StorageSystem sys;
@@ -387,6 +402,9 @@ TEST(ObjectCatalogTest, CorruptChainIsCorruptionFromEveryCall) {
     const std::vector<PageId> chain =
         FillTwoPages(&cat, [&](std::string n) { return cat.Put(n, 7); });
     ASSERT_EQ(chain.size(), 2u);
+    if (warm) {
+      LookUpEveryName(&cat, [&](std::string n) { return cat.Get(n); });
+    }
     PokeMetaPage(&sys, chain[static_cast<size_t>(d.page)],
                  [&](char* p) { d.poke(p, chain); });
     const StatusCode kCorrupt = StatusCode::kCorruption;
@@ -401,7 +419,18 @@ TEST(ObjectCatalogTest, CorruptChainIsCorruptionFromEveryCall) {
   }
 }
 
-TEST(DatabaseTest, CorruptCatalogImageReopensAsCorruption) {
+TEST(ObjectCatalogTest, CorruptChainIsCorruptionFromEveryCall) {
+  ExpectCorruptionFromEveryCall(/*warm=*/false);
+}
+
+// The page memos built by the lookups must not hide any damage.
+TEST(ObjectCatalogTest, CorruptChainIsCorruptionFromEveryCallWhenWarm) {
+  ExpectCorruptionFromEveryCall(/*warm=*/true);
+}
+
+// With `warm`, every name is looked up before the damage, and the damaged
+// catalog must fail the live database's calls before it is saved.
+void ExpectCorruptCatalogImageReopensAsCorruption(bool warm) {
   const std::string path = TempPath("corrupt_catalog");
   for (const CatalogDamage& d : CatalogDamages()) {
     SCOPED_TRACE(d.what);
@@ -415,8 +444,19 @@ TEST(DatabaseTest, CorruptCatalogImageReopensAsCorruption) {
       ASSERT_EQ(chain.size(), 2u);
       auto clean = FsckDatabase(db->get());
       ASSERT_TRUE(clean.ok() && clean->clean());
+      if (warm) {
+        LookUpEveryName((*db)->catalog(),
+                        [&](std::string n) { return (*db)->Lookup(n); });
+      }
       PokeMetaPage((*db)->sys(), chain[static_cast<size_t>(d.page)],
                    [&](char* p) { d.poke(p, chain); });
+      if (warm) {
+        const StatusCode kCorrupt = StatusCode::kCorruption;
+        EXPECT_EQ((*db)->Lookup("zz").status().code(), kCorrupt);
+        EXPECT_EQ((*db)->CreateObject("zz", Engine::kEsm, 4).status().code(),
+                  kCorrupt);
+        EXPECT_EQ((*db)->DropObject("zz").code(), kCorrupt);
+      }
       ASSERT_TRUE((*db)->Save(path).ok());
     }
     // Open validates only the head's magic; the walk finds the rest.
@@ -430,6 +470,211 @@ TEST(DatabaseTest, CorruptCatalogImageReopensAsCorruption) {
     EXPECT_EQ((*db)->DropObject("zz").code(), StatusCode::kCorruption);
   }
   std::remove(path.c_str());
+}
+
+TEST(DatabaseTest, CorruptCatalogImageReopensAsCorruption) {
+  ExpectCorruptCatalogImageReopensAsCorruption(/*warm=*/false);
+}
+
+TEST(DatabaseTest, CorruptCatalogImageReopensAsCorruptionWhenWarm) {
+  ExpectCorruptCatalogImageReopensAsCorruption(/*warm=*/true);
+}
+
+// ---- Memoized lookups against cold scans ----
+
+// Entry offsets of a catalog page whose entries end exactly at `used`;
+// empty for a damaged page.
+std::vector<size_t> EntryOffsets(const char* p) {
+  uint16_t count, used;
+  std::memcpy(&count, p + 8, 2);
+  std::memcpy(&used, p + 10, 2);
+  std::vector<size_t> out;
+  size_t at = 12;
+  for (uint16_t i = 0; i < count && at < 12u + used; ++i) {
+    out.push_back(at);
+    at += 1 + static_cast<uint8_t>(p[at]) + 4;
+  }
+  if (at != 12u + used) out.clear();
+  return out;
+}
+
+// A seeded Put/Get/Contains/Remove/Size/List script runs on two identical
+// systems. A keeps one catalog, so its page memos stay warm; B opens a
+// fresh catalog for every call, so every call scans. Between calls the
+// same byte pokes land on both: a name or id byte of an entry (the page
+// stays valid), one entry's name copied over a later entry of its page
+// (the first must still win), and a random header or entry byte that is
+// restored a few calls later. Pool-filling fixes evict the catalog pages
+// now and then. Every call's status and result must be equal on A and B,
+// and so must the final page bytes.
+TEST(ObjectCatalogTest, MemoAnswersEqualColdScans) {
+  StorageSystem a, b;
+  const uint32_t page_size = a.config().page_size;
+  ObjectCatalog warm(&a);
+  auto head = warm.Create();
+  ASSERT_TRUE(head.ok());
+  {
+    ObjectCatalog cold(&b);
+    auto head_b = cold.Create();
+    ASSERT_TRUE(head_b.ok());
+    ASSERT_EQ(*head_b, *head);
+  }
+  // Runs `call` on A's catalog and on a fresh catalog of B.
+  auto both = [&](const std::function<std::string(ObjectCatalog*)>& call) {
+    const std::string on_a = call(&warm);
+    ObjectCatalog cold(&b);
+    ASSERT_TRUE(cold.Open(*head).ok());
+    EXPECT_EQ(on_a, call(&cold));
+  };
+  // Applies `edit` to page `page` of A, then the same bytes to B's page.
+  auto poke = [&](PageId page, const std::function<void(char*)>& edit) {
+    std::string before, after;
+    PokeMetaPage(&a, page, [&](char* p) {
+      before.assign(p, page_size);
+      edit(p);
+      after.assign(p, page_size);
+    });
+    PokeMetaPage(&b, page, [&](char* p) {
+      EXPECT_EQ(std::string(p, page_size), before);
+      std::memcpy(p, after.data(), page_size);
+    });
+  };
+  auto shown = [](const auto& result, const std::string& value) {
+    return result.ok() ? value : result.status().ToString();
+  };
+
+  // 300 names of 28 bytes: up to 123 entries per page, three pages.
+  std::vector<std::string> names;
+  for (int i = 0; i < 300; ++i) {
+    char num[8];
+    std::snprintf(num, sizeof num, "n%03d_", i);
+    names.push_back(num + Pattern(static_cast<uint64_t>(i), 23));
+  }
+  Rng rng(1717);
+  struct Damage {
+    PageId page = kInvalidPage;
+    std::string bytes;
+    uint64_t calls_left = 0;
+  } damage;
+  uint64_t pokes = 0, duplicates = 0, damages = 0;
+  std::string dup_name;
+  ObjectId dup_id = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (damage.page != kInvalidPage && --damage.calls_left == 0) {
+      poke(damage.page, [&](char* p) {
+        std::memcpy(p, damage.bytes.data(), page_size);
+      });
+      damage.page = kInvalidPage;
+    }
+    const std::string& name = names[rng.Uniform(0, names.size() - 1)];
+    const uint64_t dice = rng.Uniform(0, 99);
+    if (dice < 30) {
+      const auto id = static_cast<ObjectId>(rng.Uniform(1, 1u << 30));
+      both([&](ObjectCatalog* c) { return c->Put(name, id).ToString(); });
+    } else if (dice < 55) {
+      both([&](ObjectCatalog* c) {
+        auto id = c->Get(name);
+        return shown(id, id.ok() ? std::to_string(*id) : "");
+      });
+    } else if (dice < 62) {
+      both([&](ObjectCatalog* c) {
+        auto has = c->Contains(name);
+        return shown(has, has.ok() && *has ? "bound" : "unbound");
+      });
+    } else if (dice < 82) {
+      both([&](ObjectCatalog* c) { return c->Remove(name).ToString(); });
+    } else if (dice < 85) {
+      both([&](ObjectCatalog* c) {
+        auto n = c->Size();
+        return shown(n, n.ok() ? std::to_string(*n) : "");
+      });
+    } else if (dice < 87) {
+      both([&](ObjectCatalog* c) {
+        auto list = c->List();
+        std::string out;
+        if (list.ok()) {
+          for (const auto& [n, id] : *list) {
+            out += n + "=" + std::to_string(id) + ";";
+          }
+        }
+        return shown(list, out);
+      });
+    } else if (dice < 89) {
+      for (PageId leaf = 0; leaf < a.config().buffer_pool_pages; ++leaf) {
+        for (StorageSystem* sys : {&a, &b}) {
+          auto g = sys->pool()->FixPage(sys->leaf_area()->id(), leaf,
+                                        FixMode::kRead);
+          ASSERT_TRUE(g.ok());
+        }
+      }
+    } else if (damage.page == kInvalidPage) {
+      auto pages = warm.Pages();
+      ASSERT_TRUE(pages.ok()) << pages.status().ToString();
+      const PageId page = (*pages)[rng.Uniform(0, pages->size() - 1)];
+      const uint64_t kind = rng.Uniform(0, 3);
+      ++pokes;
+      poke(page, [&](char* p) {
+        const std::vector<size_t> entries = EntryOffsets(p);
+        if (entries.empty()) return;  // no entry to poke at
+        const size_t at = entries[rng.Uniform(0, entries.size() - 1)];
+        const size_t len = static_cast<uint8_t>(p[at]);
+        if (kind == 0) {  // a name byte
+          p[at + 1 + rng.Uniform(0, len - 1)] =
+              static_cast<char>('a' + rng.Uniform(0, 25));
+        } else if (kind == 1) {  // an id byte
+          p[at + 1 + len + rng.Uniform(0, 3)] =
+              static_cast<char>(rng.Uniform(0, 255));
+        } else if (kind == 2) {  // a duplicate name on the page
+          const size_t first = entries.front();
+          const size_t last = entries.back();
+          if (first != last && p[first] == p[last]) {
+            std::memcpy(p + last + 1, p + first + 1, len);
+            dup_name.assign(p + first + 1, len);
+            std::memcpy(&dup_id, p + first + 1 + len, 4);
+            ++duplicates;
+          }
+        } else {
+          // A header byte (not the head's magic), a length byte or any
+          // byte of the entries, restored a few calls later.
+          damage.page = page;
+          damage.bytes.assign(p, page_size);
+          damage.calls_left = rng.Uniform(1, 8);
+          uint16_t used;
+          std::memcpy(&used, p + 10, 2);
+          const uint64_t where = rng.Uniform(0, 2);
+          const size_t byte =
+              where == 0   ? rng.Uniform(page == *head ? 4 : 0, 11)
+              : where == 1 ? at
+                           : rng.Uniform(12, 12u + used - 1);
+          p[byte] = static_cast<char>(static_cast<uint8_t>(p[byte]) ^
+                                      rng.Uniform(1, 255));
+          ++damages;
+        }
+      });
+      if (!dup_name.empty()) {
+        both([&](ObjectCatalog* c) {
+          auto id = c->Get(dup_name);
+          EXPECT_TRUE(id.ok() && *id == dup_id) << "the first entry wins";
+          return shown(id, id.ok() ? std::to_string(*id) : "");
+        });
+        dup_name.clear();
+      }
+    }
+  }
+  EXPECT_GT(pokes, 100u);
+  EXPECT_GT(duplicates, 10u);
+  EXPECT_GT(damages, 20u);
+
+  auto pages = warm.Pages();
+  ASSERT_TRUE(pages.ok());
+  ASSERT_TRUE(a.FlushAll().ok());
+  ASSERT_TRUE(b.FlushAll().ok());
+  for (PageId p : *pages) {
+    const AreaId meta = a.meta_area()->id();
+    EXPECT_EQ(0, std::memcmp(a.disk()->PeekPage(meta, p),
+                             b.disk()->PeekPage(meta, p), page_size))
+        << "page " << p;
+  }
 }
 
 // --------------------------------------------------------------- DiskImage
